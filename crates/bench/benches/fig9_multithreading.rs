@@ -2,8 +2,9 @@
 //! 6x6 CGRA, then times the simulators.
 //!
 //! `cargo bench -p cgra-bench --bench fig9_multithreading` prints the
-//! Fig. 9(b)-style series before timing one baseline and one
-//! multithreaded simulation with the in-repo microbench harness.
+//! Fig. 9(b)-style series before timing one baseline and two
+//! multithreaded simulations (8 threads on 4 pages, 64 threads on 18
+//! pages) with the in-repo microbench harness.
 
 use cgra_bench::fig9::{self, Fig9Params};
 use cgra_bench::libcache::LibCache;
@@ -50,6 +51,24 @@ fn main() {
         simulate_baseline(black_box(&lib), black_box(&workload))
     });
     bench.run("fig9_simulators/multithreaded_8threads_6x6", || {
+        simulate_multithreaded(black_box(&lib), black_box(&workload), MtConfig::default())
+    });
+
+    // The high-tenant end of the sweep: 64 threads with 16 bursts each
+    // on an 18-page fabric, where per-event cost that grows with the
+    // thread count rather than the page count would dominate.
+    let lib = cache.get(6, 2);
+    let workload = generate(
+        &lib,
+        &WorkloadParams {
+            threads: 64,
+            need: CgraNeed::High,
+            work_per_thread: 60_000,
+            bursts: 16,
+            seed: 3,
+        },
+    );
+    bench.run("fig9_simulators/multithreaded_64threads_6x6p2", || {
         simulate_multithreaded(black_box(&lib), black_box(&workload), MtConfig::default())
     });
 }

@@ -12,11 +12,21 @@
 //! fault can find the owning thread and revoke exactly the page that
 //! died. Grants take the lowest-numbered free pages; shrinks return a
 //! thread's highest-numbered pages — both deterministic.
+//!
+//! Every operation is bounded by the page count `n`, never by the number
+//! of threads in the workload: each thread on the CGRA holds at least
+//! one page, so at most `n` threads are ever *running*, and those are
+//! kept in a sorted vector whose capacity is reserved up front. Nothing
+//! allocates except [`pages_of`](Allocator::pages_of), the returned
+//! `Vec<Expansion>` of a growth that grows someone, and the invariant
+//! check's per-thread scratch table, which grows to the highest thread
+//! id once and is reused after that.
 
 use crate::error::SimError;
 use crate::kernel_lib::halving_chain;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::cmp::Reverse;
 
 /// How freed pages are redistributed when a thread leaves the CGRA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,14 +105,41 @@ enum PageState {
     Owned(usize),
 }
 
+/// The order in which a growth step picks the thread to grow.
+#[derive(Debug, Clone, Copy)]
+enum GrowthOrder {
+    /// Smallest current allocation first.
+    Smallest,
+    /// Largest current allocation first.
+    Largest,
+    /// Largest deficit below the desired budget first.
+    Deficit,
+}
+
+impl GrowthOrder {
+    /// Priority of a thread holding `pages` and wanting `desired`
+    /// (lower grows first; ties go to the lowest thread id).
+    fn key(self, pages: u16, desired: u16) -> i32 {
+        match self {
+            GrowthOrder::Smallest => i32::from(pages),
+            GrowthOrder::Largest => -i32::from(pages),
+            GrowthOrder::Deficit => -i32::from(desired - pages),
+        }
+    }
+}
+
 /// Page bookkeeping for the multithreaded CGRA.
 #[derive(Debug, Clone)]
 pub struct Allocator {
     n: u16,
     free: u16,
-    running: BTreeMap<usize, u16>,
+    /// `(thread, budget)` of every thread on the CGRA, sorted by thread.
+    running: Vec<(usize, u16)>,
     chain: Vec<u16>,
     pages: Vec<PageState>,
+    /// Scratch for [`check_invariant`](Allocator::check_invariant):
+    /// owned pages counted per thread id.
+    held: RefCell<Vec<u16>>,
 }
 
 impl Allocator {
@@ -111,10 +148,30 @@ impl Allocator {
         Allocator {
             n,
             free: n,
-            running: BTreeMap::new(),
+            running: Vec::with_capacity(n as usize),
             chain: halving_chain(n),
             pages: vec![PageState::Free; n as usize],
+            held: RefCell::new(Vec::new()),
         }
+    }
+
+    /// Index of `thread` in `running`, or where it would be inserted.
+    fn slot(&self, thread: usize) -> Result<usize, usize> {
+        self.running.binary_search_by_key(&thread, |&(t, _)| t)
+    }
+
+    /// Set a thread's budget, admitting it if it is not running.
+    fn set_allocation(&mut self, thread: usize, pages: u16) {
+        match self.slot(thread) {
+            Ok(i) => self.running[i].1 = pages,
+            Err(i) => self.running.insert(i, (thread, pages)),
+        }
+    }
+
+    /// Take a thread off the CGRA, returning its budget.
+    fn remove(&mut self, thread: usize) -> Option<u16> {
+        let i = self.slot(thread).ok()?;
+        Some(self.running.remove(i).1)
     }
 
     /// Pages currently unallocated (and not dead).
@@ -132,7 +189,7 @@ impl Allocator {
 
     /// Current allocation of a thread (None if not on the CGRA).
     pub fn allocation(&self, thread: usize) -> Option<u16> {
-        self.running.get(&thread).copied()
+        self.slot(thread).ok().map(|i| self.running[i].1)
     }
 
     /// Number of threads on the CGRA.
@@ -148,14 +205,19 @@ impl Allocator {
         }
     }
 
-    /// The physical pages held by `thread`, ascending.
-    pub fn pages_of(&self, thread: usize) -> Vec<u16> {
+    /// The physical pages held by `thread`, ascending, without
+    /// allocating.
+    pub fn owned_pages(&self, thread: usize) -> impl Iterator<Item = u16> + '_ {
         self.pages
             .iter()
             .enumerate()
-            .filter(|&(_, s)| *s == PageState::Owned(thread))
+            .filter(move |&(_, s)| *s == PageState::Owned(thread))
             .map(|(i, _)| i as u16)
-            .collect()
+    }
+
+    /// The physical pages held by `thread`, ascending.
+    pub fn pages_of(&self, thread: usize) -> Vec<u16> {
+        self.owned_pages(thread).collect()
     }
 
     fn largest_chain_at_most(&self, x: u16) -> Option<u16> {
@@ -220,7 +282,7 @@ impl Allocator {
     /// Request pages for `thread` (wanting `want`, a halving-chain value).
     pub fn request(&mut self, thread: usize, want: u16) -> Result<RequestOutcome, SimError> {
         debug_assert!(self.chain.contains(&want), "want {want} not on chain");
-        if self.running.contains_key(&thread) {
+        if self.slot(thread).is_ok() {
             return Err(SimError::InvariantViolated {
                 detail: format!("thread {thread} requested pages while already on the CGRA"),
             });
@@ -229,7 +291,7 @@ impl Allocator {
         if self.free > 0 {
             if let Some(pages) = self.largest_chain_at_most(self.free.min(want)) {
                 self.take_free(thread, pages)?;
-                self.running.insert(thread, pages);
+                self.set_allocation(thread, pages);
                 return Ok(RequestOutcome::Granted { pages });
             }
         }
@@ -237,8 +299,8 @@ impl Allocator {
         let victim = self
             .running
             .iter()
-            .max_by_key(|&(id, &pages)| (pages, std::cmp::Reverse(*id)))
-            .map(|(&id, &pages)| (id, pages));
+            .max_by_key(|&&(id, pages)| (pages, Reverse(id)))
+            .copied();
         let Some((victim, victim_was)) = victim else {
             return Ok(RequestOutcome::Queued);
         };
@@ -246,7 +308,7 @@ impl Allocator {
             return Ok(RequestOutcome::Queued); // everyone already at 1 page
         };
         let freed = victim_was - new_pages;
-        self.running.insert(victim, new_pages);
+        self.set_allocation(victim, new_pages);
         self.give_back(victim, freed)?;
         let pages =
             self.largest_chain_at_most(self.free.min(want))
@@ -254,7 +316,7 @@ impl Allocator {
                     detail: "shrink freed no usable budget".to_string(),
                 })?;
         self.take_free(thread, pages)?;
-        self.running.insert(thread, pages);
+        self.set_allocation(thread, pages);
         Ok(RequestOutcome::Shrunk {
             victim,
             victim_was,
@@ -266,8 +328,7 @@ impl Allocator {
     /// Release a thread's pages; returns how many were freed.
     pub fn release(&mut self, thread: usize) -> Result<u16, SimError> {
         let pages = self
-            .running
-            .remove(&thread)
+            .remove(thread)
             .ok_or(SimError::UnknownThread { thread })?;
         self.give_back(thread, pages)?;
         Ok(pages)
@@ -299,7 +360,7 @@ impl Allocator {
                 match self.chain_below(from_pages) {
                     None => {
                         // Was at the chain bottom (one page): fully evicted.
-                        self.running.remove(&victim);
+                        self.remove(victim);
                         Ok(PageDeath::Revoked { victim })
                     }
                     Some(to_pages) => {
@@ -307,7 +368,7 @@ impl Allocator {
                         // pages; the rest (beyond the dead one) free up.
                         let extra = from_pages - 1 - to_pages;
                         self.give_back(victim, extra)?;
-                        self.running.insert(victim, to_pages);
+                        self.set_allocation(victim, to_pages);
                         Ok(PageDeath::Shrunk {
                             victim,
                             from_pages,
@@ -351,43 +412,7 @@ impl Allocator {
         &mut self,
         want: impl Fn(usize) -> u16,
     ) -> Result<Vec<Expansion>, SimError> {
-        let mut applied = Vec::new();
-        loop {
-            let mut candidates: Vec<(usize, u16, u16)> = self
-                .running
-                .iter()
-                .map(|(&id, &pages)| (id, pages, want(id)))
-                .filter(|&(_, pages, desired)| pages < desired)
-                .collect();
-            candidates
-                .sort_by_key(|&(id, pages, desired)| (std::cmp::Reverse(desired - pages), id));
-            let mut progressed = false;
-            for (id, pages, desired) in candidates {
-                let Some(up) = self.chain_above(pages) else {
-                    continue;
-                };
-                let up = up.min(desired);
-                if up <= pages {
-                    continue;
-                }
-                let cost = up - pages;
-                if cost <= self.free {
-                    self.take_free(id, cost)?;
-                    self.running.insert(id, up);
-                    applied.push(Expansion {
-                        thread: id,
-                        from_pages: pages,
-                        to_pages: up,
-                    });
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        Ok(applied)
+        self.grow(GrowthOrder::Deficit, want)
     }
 
     /// Expand running threads into free pages per `policy`. `want(t)`
@@ -397,72 +422,103 @@ impl Allocator {
         policy: ExpandPolicy,
         want: impl Fn(usize) -> u16,
     ) -> Result<Vec<Expansion>, SimError> {
-        if policy == ExpandPolicy::None {
-            return Ok(Vec::new());
-        }
+        let order = match policy {
+            ExpandPolicy::SmallestFirst => GrowthOrder::Smallest,
+            ExpandPolicy::LargestFirst => GrowthOrder::Largest,
+            ExpandPolicy::None => return Ok(Vec::new()),
+        };
+        self.grow(order, want)
+    }
+
+    /// The growth loop behind both expansion policies: one halving-chain
+    /// step at a time (capped at `want`), each for the first thread in
+    /// `order` whose step the free pool can pay for, until no thread can
+    /// grow.
+    fn grow(
+        &mut self,
+        order: GrowthOrder,
+        want: impl Fn(usize) -> u16,
+    ) -> Result<Vec<Expansion>, SimError> {
         let mut applied = Vec::new();
-        loop {
-            let mut candidates: Vec<(usize, u16)> = self
-                .running
-                .iter()
-                .map(|(&id, &pages)| (id, pages))
-                .filter(|&(id, pages)| pages < want(id))
-                .collect();
-            match policy {
-                ExpandPolicy::SmallestFirst => candidates.sort_by_key(|&(id, p)| (p, id)),
-                ExpandPolicy::LargestFirst => {
-                    candidates.sort_by_key(|&(id, p)| (std::cmp::Reverse(p), id))
-                }
-                ExpandPolicy::None => unreachable!(),
-            }
-            let mut progressed = false;
-            for (id, pages) in candidates {
-                let Some(up) = self.chain_above(pages) else {
-                    continue;
-                };
-                let up = up.min(want(id));
-                if up <= pages {
-                    continue;
-                }
-                let cost = up - pages;
-                if cost <= self.free {
-                    self.take_free(id, cost)?;
-                    self.running.insert(id, up);
-                    applied.push(Expansion {
-                        thread: id,
-                        from_pages: pages,
-                        to_pages: up,
-                    });
-                    progressed = true;
-                    break;
-                }
-            }
-            if !progressed {
-                break;
-            }
+        while let Some((i, up)) = self.next_growth(order, &want) {
+            let (thread, pages) = self.running[i];
+            self.take_free(thread, up - pages)?;
+            self.running[i].1 = up;
+            applied.push(Expansion {
+                thread,
+                from_pages: pages,
+                to_pages: up,
+            });
         }
         Ok(applied)
     }
 
+    /// The next growth step as `(running index, new budget)`: the
+    /// affordable step of the thread with the lowest `(key, id)`. One
+    /// pass over the running threads, which are in id order, so the
+    /// first of equal keys is the lowest id.
+    fn next_growth(
+        &self,
+        order: GrowthOrder,
+        want: &impl Fn(usize) -> u16,
+    ) -> Option<(usize, u16)> {
+        // Every step costs at least one page.
+        if self.free == 0 {
+            return None;
+        }
+        let mut best: Option<(i32, usize, u16)> = None;
+        for (i, &(thread, pages)) in self.running.iter().enumerate() {
+            let desired = want(thread);
+            if pages >= desired {
+                continue;
+            }
+            let Some(up) = self.chain_above(pages) else {
+                continue;
+            };
+            let up = up.min(desired);
+            if up <= pages || up - pages > self.free {
+                continue;
+            }
+            let key = order.key(pages, desired);
+            if best.is_some_and(|(k, _, _)| k <= key) {
+                continue;
+            }
+            best = Some((key, i, up));
+        }
+        best.map(|(_, i, up)| (i, up))
+    }
+
     /// Sanity: allocations + free + dead always equals N, and the
-    /// identity map agrees with the counts.
+    /// identity map agrees with the counts. One pass over the pages
+    /// recounts dead, free and per-thread owned pages.
     pub fn check_invariant(&self) -> bool {
-        let dead = self
-            .pages
-            .iter()
-            .filter(|s| matches!(s, PageState::Dead))
-            .count() as u16;
-        let free_ident = self
-            .pages
-            .iter()
-            .filter(|s| matches!(s, PageState::Free))
-            .count() as u16;
-        let counts_ok = self.running.values().sum::<u16>() + self.free + dead == self.n;
-        let identity_ok = free_ident == self.free
-            && self
-                .running
-                .iter()
-                .all(|(&t, &c)| self.pages_of(t).len() as u16 == c);
+        // Owned pages per thread id. Only running threads' entries are
+        // reset and read; a page whose owner is not running counts
+        // toward no running thread (its entry, if any, is scratch).
+        let mut held = self.held.borrow_mut();
+        let ids = self.running.last().map_or(0, |&(t, _)| t + 1);
+        if held.len() < ids {
+            held.resize(ids, 0);
+        }
+        for &(t, _) in &self.running {
+            held[t] = 0;
+        }
+        let (mut dead, mut free_ident) = (0u16, 0u16);
+        for s in &self.pages {
+            match *s {
+                PageState::Dead => dead += 1,
+                PageState::Free => free_ident += 1,
+                PageState::Owned(t) => {
+                    if let Some(h) = held.get_mut(t) {
+                        *h = h.wrapping_add(1);
+                    }
+                }
+            }
+        }
+        let counts_ok =
+            self.running.iter().map(|&(_, c)| c).sum::<u16>() + self.free + dead == self.n;
+        let identity_ok =
+            free_ident == self.free && self.running.iter().all(|&(t, c)| held[t] == c);
         counts_ok && identity_ok
     }
 }
@@ -779,6 +835,81 @@ mod tests {
         assert_eq!((grown[0].from_pages, grown[0].to_pages), (2, 4));
         assert_eq!(grown[1].thread, 2);
         assert!(a.check_invariant());
+    }
+
+    /// Two tenants (2 + 4 pages on 8) with one page killed and one
+    /// freed: every page state is present, and the invariant holds.
+    fn mixed_state() -> Allocator {
+        let mut a = Allocator::new(8);
+        a.request(0, 8).unwrap();
+        a.request(1, 8).unwrap(); // 4 + 4
+        a.request(2, 8).unwrap(); // 2 + 4 + 2
+        a.kill_page(3).unwrap(); // thread 2: 2 -> 1, page 3 dead
+        assert_eq!(a.free_pages(), 0);
+        a.release(2).unwrap(); // page 2 free
+        assert!(a.check_invariant());
+        assert_eq!(a.pages_of(0), vec![0, 1]);
+        assert_eq!(a.pages_of(1), vec![4, 5, 6, 7]);
+        assert_eq!(a.free_pages(), 1);
+        a
+    }
+
+    #[test]
+    fn invariant_catches_free_count_off_by_one() {
+        let mut a = mixed_state();
+        a.free += 1;
+        assert!(!a.check_invariant());
+        let mut a = mixed_state();
+        a.free -= 1;
+        assert!(!a.check_invariant());
+    }
+
+    #[test]
+    fn invariant_catches_page_owned_by_a_thread_not_running() {
+        // The free page goes to a thread the allocator never admitted;
+        // the free count follows, so only the ghost owner is wrong.
+        let mut a = mixed_state();
+        a.pages[2] = PageState::Owned(9);
+        a.free -= 1;
+        assert!(!a.check_invariant());
+        // Likewise for a page taken from a running tenant.
+        let mut a = mixed_state();
+        a.pages[0] = PageState::Owned(9);
+        assert!(!a.check_invariant());
+        // And for a ghost whose id lies between running ids (threads 0
+        // and 2 run, thread 1 has left).
+        let mut a = Allocator::new(8);
+        a.request(0, 4).unwrap();
+        a.request(1, 2).unwrap();
+        a.request(2, 2).unwrap();
+        a.release(1).unwrap();
+        assert!(a.check_invariant());
+        a.pages[4] = PageState::Owned(1);
+        a.free -= 1;
+        assert!(!a.check_invariant());
+    }
+
+    #[test]
+    fn invariant_catches_page_count_disagreeing_with_allocation() {
+        // Page 5 moves from thread 1 to thread 0: the totals still add
+        // up, but each thread's identity map disagrees with its count.
+        let mut a = mixed_state();
+        a.pages[5] = PageState::Owned(0);
+        assert!(!a.check_invariant());
+    }
+
+    #[test]
+    fn invariant_catches_dead_free_owned_not_summing_to_n() {
+        let mut a = mixed_state();
+        a.n += 1;
+        assert!(!a.check_invariant());
+        let mut a = mixed_state();
+        a.n -= 1;
+        assert!(!a.check_invariant());
+        // A free page dying without the free count noticing.
+        let mut a = mixed_state();
+        a.pages[2] = PageState::Dead;
+        assert!(!a.check_invariant());
     }
 
     #[test]

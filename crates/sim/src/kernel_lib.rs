@@ -149,13 +149,18 @@ impl KernelProfile {
     }
 
     /// The smallest halving-chain budget that covers the kernel's
-    /// footprint — what the thread asks the allocator for.
+    /// footprint — what the thread asks the allocator for (`n` when no
+    /// budget does). Walks [`halving_chain`] down without building it.
     pub fn wanted_pages(&self, n: u16) -> u16 {
-        halving_chain(n)
-            .into_iter()
-            .filter(|&m| m >= self.used_pages)
-            .min()
-            .unwrap_or(n)
+        let mut m = n;
+        while m > 1 && m / 2 >= self.used_pages {
+            m /= 2;
+        }
+        if m >= self.used_pages {
+            m
+        } else {
+            n
+        }
     }
 
     /// Cycles per kernel iteration with `m` pages allocated, or `None`
@@ -256,6 +261,27 @@ mod tests {
         // One page executes the used pages sequentially.
         let one = p.ii_at(1);
         assert!(one >= p.ii_constrained * p.used_pages as u32 / 2);
+    }
+
+    #[test]
+    fn wanted_pages_is_the_smallest_covering_chain_budget() {
+        for n in 0..=40u16 {
+            for used in 0..=42u16 {
+                let p = KernelProfile {
+                    name: "k".to_string(),
+                    ii_baseline: 1,
+                    ii_constrained: 1,
+                    used_pages: used,
+                    ii_by_pages: Vec::new(),
+                };
+                let expected = halving_chain(n)
+                    .into_iter()
+                    .filter(|&m| m >= used)
+                    .min()
+                    .unwrap_or(n);
+                assert_eq!(p.wanted_pages(n), expected, "n={n} used={used}");
+            }
+        }
     }
 
     #[test]

@@ -119,6 +119,10 @@ enum Mode {
 
 struct Sim<'a> {
     lib: &'a KernelLibrary,
+    /// Pages each library kernel asks for
+    /// ([`wanted_pages`](crate::KernelProfile::wanted_pages)), computed
+    /// once per run.
+    kernel_want: Vec<u16>,
     threads: &'a [ThreadSpec],
     cfg: MtConfig,
     tracer: &'a Tracer,
@@ -158,11 +162,11 @@ impl<'a> Sim<'a> {
         self.last_integral = now;
     }
 
-    fn want(&self, thread: usize) -> u16 {
-        match self.mode[thread] {
-            Mode::OnCgra { kernel, .. } | Mode::Waiting { kernel, .. } => {
-                self.lib.profile(kernel).wanted_pages(self.lib.num_pages)
-            }
+    /// The budget a thread in `mode` would grow to: its kernel's want
+    /// on or waiting for the CGRA, one page otherwise.
+    fn want(mode: Mode, kernel_want: &[u16]) -> u16 {
+        match mode {
+            Mode::OnCgra { kernel, .. } | Mode::Waiting { kernel, .. } => kernel_want[kernel],
             _ => 1,
         }
     }
@@ -178,11 +182,12 @@ impl<'a> Sim<'a> {
                 kernel: profile.name.clone(),
                 m: pages,
             })? as u64;
-        let slowed = self
-            .alloc
-            .pages_of(thread)
-            .iter()
-            .any(|&p| self.faults.health(p) == PageHealth::Degraded);
+        // Until some page degrades, no thread can hold a degraded one.
+        let slowed = self.fstats.pages_degraded > 0
+            && self
+                .alloc
+                .owned_pages(thread)
+                .any(|p| self.faults.health(p) == PageHealth::Degraded);
         Ok(if slowed {
             base * self.cfg.degrade_factor.max(1)
         } else {
@@ -282,8 +287,7 @@ impl<'a> Sim<'a> {
         iterations: u64,
         now: u64,
     ) -> Result<(), SimError> {
-        let want = self.lib.profile(kernel).wanted_pages(self.lib.num_pages);
-        match self.alloc.request(thread, want)? {
+        match self.alloc.request(thread, self.kernel_want[kernel])? {
             RequestOutcome::Granted { pages } => {
                 self.integrate(now);
                 self.start_kernel(thread, kernel, iterations, now, pages)?;
@@ -360,57 +364,52 @@ impl<'a> Sim<'a> {
     }
 
     /// Serve stalled threads from freed pages, then grow the survivors.
-    /// Runs after every kernel completion and after every page death.
-    fn redistribute(&mut self, now: u64) -> Result<(), SimError> {
+    /// Runs after every kernel completion and page death, growing by the
+    /// configured policy, and after every page repair (`after_repair`),
+    /// where the remaining recovered capacity goes to the *most shrunk*
+    /// live thread first (supervision policy) and each growth is
+    /// emitted as `Reexpanded` rather than `ThreadExpand`, so the trace
+    /// distinguishes recovery from routine growth.
+    fn redistribute(&mut self, now: u64, after_repair: bool) -> Result<(), SimError> {
         self.drain_queue(now)?;
 
-        // Then grow the survivors.
-        let wants: Vec<u16> = (0..self.threads.len()).map(|t| self.want(t)).collect();
-        let grown = self.alloc.expand(self.cfg.expand, |t| wants[t])?;
+        let (mode, kernel_want) = (&self.mode, &self.kernel_want);
+        let want = |t: usize| Self::want(mode[t], kernel_want);
+        let grown = if after_repair {
+            self.alloc.expand_most_shrunk(want)?
+        } else {
+            self.alloc.expand(self.cfg.expand, want)?
+        };
         for ex in grown {
             self.expands += 1;
-            if let Mode::OnCgra { kernel, .. } = self.mode[ex.thread] {
-                self.pages_busy += (ex.to_pages - ex.from_pages) as u64;
-                let new_rate = self.effective_rate(ex.thread, kernel, ex.to_pages)?;
-                self.set_rate(ex.thread, now, new_rate);
-                let tr = self.tracer;
-                tr.emit(|| TraceEvent::ThreadExpand {
-                    time: now,
-                    thread: ex.thread as u32,
-                    from: ex.from_pages,
-                    to: ex.to_pages,
-                    pages: self.alloc.pages_of(ex.thread),
-                });
+            if after_repair {
+                self.fstats.reexpansions += 1;
             }
-        }
-        Ok(())
-    }
-
-    /// Redistribution after a page repair: re-admit queued threads
-    /// first, then hand the remaining recovered capacity to the *most
-    /// shrunk* live thread (supervision policy) via the ordinary
-    /// expansion path, emitted as `Reexpanded` rather than
-    /// `ThreadExpand` so the trace distinguishes recovery from routine
-    /// growth.
-    fn redistribute_repaired(&mut self, now: u64) -> Result<(), SimError> {
-        self.drain_queue(now)?;
-
-        let wants: Vec<u16> = (0..self.threads.len()).map(|t| self.want(t)).collect();
-        let grown = self.alloc.expand_most_shrunk(|t| wants[t])?;
-        for ex in grown {
-            self.expands += 1;
-            self.fstats.reexpansions += 1;
             if let Mode::OnCgra { kernel, .. } = self.mode[ex.thread] {
                 self.pages_busy += (ex.to_pages - ex.from_pages) as u64;
                 let new_rate = self.effective_rate(ex.thread, kernel, ex.to_pages)?;
                 self.set_rate(ex.thread, now, new_rate);
                 let tr = self.tracer;
-                tr.emit(|| TraceEvent::Reexpanded {
-                    time: now,
-                    thread: ex.thread as u32,
-                    from: ex.from_pages,
-                    to: ex.to_pages,
-                    pages: self.alloc.pages_of(ex.thread),
+                tr.emit(|| {
+                    let (thread, from, to) = (ex.thread as u32, ex.from_pages, ex.to_pages);
+                    let pages = self.alloc.pages_of(ex.thread);
+                    if after_repair {
+                        TraceEvent::Reexpanded {
+                            time: now,
+                            thread,
+                            from,
+                            to,
+                            pages,
+                        }
+                    } else {
+                        TraceEvent::ThreadExpand {
+                            time: now,
+                            thread,
+                            from,
+                            to,
+                            pages,
+                        }
+                    }
                 });
             }
         }
@@ -433,7 +432,7 @@ impl<'a> Sim<'a> {
             freed,
         });
         self.advance(thread, now)?;
-        self.redistribute(now)
+        self.redistribute(now, false)
     }
 
     /// Move a thread to its next segment at `now`.
@@ -601,7 +600,7 @@ impl<'a> Sim<'a> {
         }
         // A death can free surplus pages (chain rounding): let
         // waiting threads in and regrow survivors.
-        self.redistribute(now)
+        self.redistribute(now, false)
     }
 
     /// Apply one pending repair action (stale ones — scheduled before
@@ -636,7 +635,7 @@ impl<'a> Sim<'a> {
                     time: now,
                     page: action.page,
                 });
-                self.redistribute_repaired(now)
+                self.redistribute(now, true)
             }
         }
     }
@@ -760,6 +759,11 @@ pub fn simulate_multithreaded_faulty_traced(
     });
     let mut sim = Sim {
         lib,
+        kernel_want: lib
+            .profiles
+            .iter()
+            .map(|p| p.wanted_pages(lib.num_pages))
+            .collect(),
         threads,
         cfg,
         tracer,
