@@ -2,7 +2,7 @@
 
 use crate::memory::MemModel;
 use crate::page::{LayoutError, PageLayout, PageShape};
-use crate::pe::PeCapability;
+use crate::pe::{FuClass, PeCapability};
 use crate::register::RotatingRf;
 use crate::topology::Mesh;
 use serde::{Deserialize, Serialize};
@@ -118,6 +118,36 @@ impl CgraConfig {
         self.mesh.num_pes()
     }
 
+    /// Stable structural hash of every architectural parameter: mesh,
+    /// page shape and ring order, PE capability, rotating RF size and
+    /// memory model. Two configs with equal fingerprints compile every
+    /// kernel identically, so caches key compiled artifacts on it.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64; // FNV offset basis
+        let mut eat = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3); // FNV prime
+            }
+        };
+        eat(self.mesh.rows() as u64);
+        eat(self.mesh.cols() as u64);
+        let shape = self.layout.shape();
+        eat(shape.h as u64);
+        eat(shape.w as u64);
+        for page in self.layout.pages() {
+            let o = self.layout.origin(page);
+            eat(((o.r as u64) << 16) | o.c as u64);
+        }
+        for class in [FuClass::Alu, FuClass::Mul, FuClass::Mem] {
+            eat(self.capability.supports(class) as u64);
+        }
+        eat(self.rf.size() as u64);
+        eat(self.mem.buses_per_row() as u64);
+        eat(self.mem.scratch_words() as u64);
+        h
+    }
+
     /// The experimental grid from §VII-A: every (CGRA size, page size)
     /// combination the paper evaluates. The 6×6 "page size 8" point is
     /// substituted with 3×3 pages (size 9) as 8 does not divide 36; the
@@ -177,6 +207,24 @@ mod tests {
         let grid = CgraConfig::paper_grid();
         assert_eq!(grid.len(), 9);
         assert!(grid.iter().all(|c| c.layout().ring_path_is_physical()));
+    }
+
+    #[test]
+    fn fingerprint_separates_every_parameter() {
+        let base = CgraConfig::square(4);
+        let variants = [
+            CgraConfig::square(4).with_page_size(2).unwrap(),
+            CgraConfig::new(Mesh::new(4, 4), PageShape::new(1, 4)).unwrap(),
+            CgraConfig::new(Mesh::new(2, 8), PageShape::new(2, 2)).unwrap(),
+            CgraConfig::square(4).with_rf_size(2),
+            CgraConfig::square(4).with_capability(PeCapability::full().with_mul(false)),
+            CgraConfig::square(4).with_mem(MemModel::new(2, 1024)),
+            CgraConfig::square(4).with_mem(MemModel::new(1, 2048)),
+        ];
+        assert_eq!(base.fingerprint(), CgraConfig::square(4).fingerprint());
+        for v in &variants {
+            assert_ne!(base.fingerprint(), v.fingerprint(), "{v:?}");
+        }
     }
 
     #[test]

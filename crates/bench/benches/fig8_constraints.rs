@@ -6,11 +6,13 @@
 //! before timing one sub-figure sweep with the in-repo microbench
 //! harness.
 
+use cgra_bench::engine::Engine;
 use cgra_bench::fig8;
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::microbench::Bench;
 
-fn print_figure() {
-    let points = fig8::run_all();
+fn print_figure(engine: &Engine) {
+    let points = fig8::run_all(engine, &MapCache::in_memory());
     for &(dim, _) in &cgra_bench::GRID {
         println!("\n## Figure 8 — {dim}x{dim} CGRA (100% = identical to baseline)\n");
         println!("{}", fig8::render(&points, dim));
@@ -23,7 +25,10 @@ fn print_figure() {
 }
 
 fn main() {
-    print_figure();
+    let engine = Engine::default();
+    print_figure(&engine);
     let bench = Bench::from_env().with_max_iters(10);
-    bench.run("fig8/sweep_4x4_page4", || fig8::run_config(4, 4));
+    bench.run("fig8/sweep_4x4_page4", || {
+        fig8::run_config(&engine, &MapCache::in_memory(), 4, 4)
+    });
 }

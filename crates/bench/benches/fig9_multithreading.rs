@@ -7,14 +7,16 @@
 //! pages) with the in-repo microbench harness.
 
 use cgra_bench::fig9::{self, Fig9Params};
-use cgra_bench::libcache::LibCache;
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::microbench::Bench;
+use cgra_mapper::MapOptions;
+use cgra_obs::Tracer;
 use cgra_sim::{
     generate, simulate_baseline, simulate_multithreaded, CgraNeed, MtConfig, WorkloadParams,
 };
 use std::hint::black_box;
 
-fn print_figure(cache: &LibCache) {
+fn print_figure(cache: &MapCache) {
     let params = Fig9Params {
         seeds: 3,
         ..Default::default()
@@ -32,10 +34,10 @@ fn print_figure(cache: &LibCache) {
 }
 
 fn main() {
-    let cache = LibCache::new();
+    let cache = MapCache::in_memory();
     print_figure(&cache);
 
-    let lib = cache.get(6, 4);
+    let lib = cache.library(&cgra_bench::cgra(6, 4), &MapOptions::default());
     let workload = generate(
         &lib,
         &WorkloadParams {
@@ -51,13 +53,19 @@ fn main() {
         simulate_baseline(black_box(&lib), black_box(&workload))
     });
     bench.run("fig9_simulators/multithreaded_8threads_6x6", || {
-        simulate_multithreaded(black_box(&lib), black_box(&workload), MtConfig::default())
+        simulate_multithreaded(
+            black_box(&lib),
+            black_box(&workload),
+            MtConfig::default(),
+            &[],
+            &Tracer::off(),
+        )
     });
 
     // The high-tenant end of the sweep: 64 threads with 16 bursts each
     // on an 18-page fabric, where per-event cost that grows with the
     // thread count rather than the page count would dominate.
-    let lib = cache.get(6, 2);
+    let lib = cache.library(&cgra_bench::cgra(6, 2), &MapOptions::default());
     let workload = generate(
         &lib,
         &WorkloadParams {
@@ -69,6 +77,12 @@ fn main() {
         },
     );
     bench.run("fig9_simulators/multithreaded_64threads_6x6p2", || {
-        simulate_multithreaded(black_box(&lib), black_box(&workload), MtConfig::default())
+        simulate_multithreaded(
+            black_box(&lib),
+            black_box(&workload),
+            MtConfig::default(),
+            &[],
+            &Tracer::off(),
+        )
     });
 }

@@ -30,16 +30,12 @@ fn main() {
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
     let analyze = args.iter().any(|a| a == "--analyze");
-    let cache = if cfg.use_cache {
-        MapCache::persistent().traced(obs.tracer.clone())
-    } else {
-        MapCache::disabled().traced(obs.tracer.clone())
-    };
+    let cache = MapCache::for_config(cfg).traced(obs.tracer.clone());
 
     if args.iter().any(|a| a == "--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
         println!("kernel    II(stable)  II(strict)");
-        for (name, stable, strict) in fig8::strict_ablation_with(&engine, &cache, 4, 4) {
+        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4) {
             println!(
                 "{name:>8}  {stable:>10}  {}",
                 strict
@@ -51,7 +47,7 @@ fn main() {
         finish(&obs, analyze);
         return;
     }
-    let points = fig8::run_all_with(&engine, &cache);
+    let points = fig8::run_all(&engine, &cache);
     // Cache statistics go to stderr so stdout stays byte-deterministic.
     eprintln!("mapcache: {:?}", cache.stats());
 

@@ -28,12 +28,11 @@
 //!                         cgra-analyze (report on stderr; exit 1 on
 //!                         error diagnostics; stdout is byte-identical
 //!                         to a run without the flag)
-//!                         after the sweep
 
 use cgra_arch::FaultSpec;
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig9::{self, Fig9Params};
-use cgra_bench::libcache::LibCache;
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::obsflags::ObsFlags;
 
 fn main() {
@@ -42,9 +41,12 @@ fn main() {
     let engine = Engine::new(cfg);
     let obs = ObsFlags::from_args(&args);
     let analyze = args.iter().any(|a| a == "--analyze");
-    let cache = LibCache::for_config_traced(cfg, obs.tracer.clone());
+    let cache = MapCache::for_config(cfg).traced(obs.tracer.clone());
 
-    let mut params = Fig9Params::default();
+    let mut params = Fig9Params {
+        tracer: obs.tracer.clone(),
+        ..Fig9Params::default()
+    };
     if args.iter().any(|a| a == "--smoke") {
         params.seeds = 2;
         params.work_per_thread = 20_000;
@@ -88,35 +90,33 @@ fn main() {
             // Fall through to the plain grid: it is fault-free by default,
             // so `--faults off` must be byte-identical to no flag at all.
             eprintln!("--faults off: nothing to inject; running the fault-free grid");
-        } else if base.mttr().is_some() {
-            // Transient faults: the degradation curve gains its repair
-            // dimension — fault-free and no-repair reference rows, then
-            // descending mttr.
-            println!(
-                "## Degradation-and-recovery curve — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n"
-            );
-            let curve =
-                fig9::recovery_curve_traced(&engine, &cache, 8, 4, &base, &params, &obs.tracer);
-            println!("{}", fig9::render_recovery_curve(&curve));
-            eprintln!("mapcache: {:?}", cache.map_cache().stats());
-            finish(&obs, analyze);
-            return;
         } else {
-            println!(
-                "## Degradation curve — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n"
-            );
-            let curve =
-                fig9::degradation_curve_traced(&engine, &cache, 8, 4, base, &params, &obs.tracer);
-            println!("{}", fig9::render_curve(&curve));
-            eprintln!("mapcache: {:?}", cache.map_cache().stats());
+            // Transient faults (an mttr) give the degradation curve its
+            // repair dimension: fault-free and no-repair reference rows,
+            // then descending mttr.
+            let (title, table) = if base.mttr().is_some() {
+                let rows = fig9::recovery_rows(&base);
+                let curve = fig9::curve(&engine, &cache, 8, 4, rows, &params);
+                (
+                    "Degradation-and-recovery curve",
+                    fig9::render_recovery_curve(&curve),
+                )
+            } else {
+                let rows = fig9::degradation_rows(base);
+                let curve = fig9::curve(&engine, &cache, 8, 4, rows, &params);
+                ("Degradation curve", fig9::render_curve(&curve))
+            };
+            println!("## {title} — faults `{base}` (8x8, page 4, 8 threads, need 87.5%)\n");
+            println!("{table}");
+            eprintln!("mapcache: {:?}", cache.stats());
             finish(&obs, analyze);
             return;
         }
     }
 
-    let results = fig9::run_all_with_traced(&engine, &cache, &params, &obs.tracer);
+    let results = fig9::run_all(&engine, &cache, &params);
     // Cache statistics go to stderr so stdout stays byte-deterministic.
-    eprintln!("mapcache: {:?}", cache.map_cache().stats());
+    eprintln!("mapcache: {:?}", cache.stats());
     let (points, errors) = fig9::partition_results(results);
     for (i, e) in &errors {
         eprintln!("point {i} failed: {e}");

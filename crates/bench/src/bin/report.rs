@@ -10,7 +10,7 @@
 
 use cgra_bench::engine::{Engine, EngineConfig};
 use cgra_bench::fig9::Fig9Params;
-use cgra_bench::libcache::LibCache;
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::{fig8, fig9};
 use cgra_core::{transform_pagemaster, PagedSchedule};
 use std::time::Instant;
@@ -21,14 +21,14 @@ fn main() {
     let engine = Engine::new(cfg);
     // One cache for the whole report: Fig. 8 warms exactly the per-kernel
     // profiles the Fig. 9 libraries are assembled from.
-    let cache = LibCache::for_config(cfg);
+    let cache = MapCache::for_config(cfg);
 
     println!("# Experiment report (regenerated)\n");
     println!("Generated by `cargo run -p cgra-bench --bin report --release`.\n");
 
     // ------------------------------------------------------------------
     println!("## Figure 8 — performance impact of the paging constraints\n");
-    let f8 = fig8::run_all_with(&engine, cache.map_cache());
+    let f8 = fig8::run_all(&engine, &cache);
     for &(dim, _) in &cgra_bench::GRID {
         println!("### {dim}x{dim} CGRA\n");
         println!("{}", fig8::render(&f8, dim));
@@ -42,7 +42,7 @@ fn main() {
     // ------------------------------------------------------------------
     println!("## Figure 9 — multithreading improvement\n");
     let (f9, f9_errors) =
-        fig9::partition_results(fig9::run_all_with(&engine, &cache, &Fig9Params::default()));
+        fig9::partition_results(fig9::run_all(&engine, &cache, &Fig9Params::default()));
     // A poisoned point keeps its error to stderr; the rest of the report
     // renders from the completed points.
     for (i, e) in &f9_errors {
@@ -94,5 +94,5 @@ fn main() {
     println!("against kernel/data transfer, as §VII-B assumes.");
 
     // Cache statistics on stderr so stdout stays byte-deterministic.
-    eprintln!("mapcache: {:?}", cache.map_cache().stats());
+    eprintln!("mapcache: {:?}", cache.stats());
 }

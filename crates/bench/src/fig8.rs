@@ -11,8 +11,8 @@
 //! [`MapCache`] — the same per-kernel profiles the Fig. 9 simulations
 //! consume, so a combined report compiles each kernel exactly once.
 
+use crate::cgra;
 use crate::engine::Engine;
-use crate::libcache::cgra;
 use crate::mapcache::MapCache;
 use cgra_mapper::{map_constrained_strict, MapOptions};
 use serde::{Deserialize, Serialize};
@@ -51,22 +51,10 @@ fn point(cache: &MapCache, dim: u16, page_size: usize, kernel: &cgra_dfg::Dfg) -
     }
 }
 
-/// Run the Fig. 8 sweep for one `(dim, page_size)` sub-figure through an
-/// explicit engine and cache.
-pub fn run_config_with(
-    engine: &Engine,
-    cache: &MapCache,
-    dim: u16,
-    page_size: usize,
-) -> Vec<Fig8Point> {
+/// Run the Fig. 8 sweep for one `(dim, page_size)` sub-figure.
+pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize) -> Vec<Fig8Point> {
     let kernels = cgra_dfg::kernels::all();
     engine.run(&kernels, |k| point(cache, dim, page_size, k))
-}
-
-/// Run the Fig. 8 sweep for one `(dim, page_size)` sub-figure with
-/// default parallelism and a private in-memory cache.
-pub fn run_config(dim: u16, page_size: usize) -> Vec<Fig8Point> {
-    run_config_with(&Engine::default(), &MapCache::in_memory(), dim, page_size)
 }
 
 /// Ablation: the strict 1-step discipline (Algorithm 1's input form)
@@ -74,7 +62,7 @@ pub fn run_config(dim: u16, page_size: usize) -> Vec<Fig8Point> {
 /// `(kernel, ii_stable, Option<ii_strict>)` — `None` when the kernel does
 /// not fit under strict rules. The stable II comes from the cache; the
 /// strict mapping is ablation-only and always computed fresh.
-pub fn strict_ablation_with(
+pub fn strict_ablation(
     engine: &Engine,
     cache: &MapCache,
     dim: u16,
@@ -90,15 +78,10 @@ pub fn strict_ablation_with(
     })
 }
 
-/// [`strict_ablation_with`] with default parallelism and a private cache.
-pub fn strict_ablation(dim: u16, page_size: usize) -> Vec<(String, u32, Option<u32>)> {
-    strict_ablation_with(&Engine::default(), &MapCache::in_memory(), dim, page_size)
-}
-
-/// Run the complete Fig. 8 grid (all sub-figures) through an explicit
-/// engine and cache, flattened to `(dim, page_size, kernel)` points so
-/// every mapping is an independently scheduled unit of work.
-pub fn run_all_with(engine: &Engine, cache: &MapCache) -> Vec<Fig8Point> {
+/// Run the complete Fig. 8 grid (all sub-figures), flattened to
+/// `(dim, page_size, kernel)` points so every mapping is an
+/// independently scheduled unit of work.
+pub fn run_all(engine: &Engine, cache: &MapCache) -> Vec<Fig8Point> {
     let kernels = cgra_dfg::kernels::all();
     let mut points: Vec<(u16, usize, &cgra_dfg::Dfg)> = Vec::new();
     for &(dim, sizes) in &crate::GRID {
@@ -109,12 +92,6 @@ pub fn run_all_with(engine: &Engine, cache: &MapCache) -> Vec<Fig8Point> {
         }
     }
     engine.run(&points, |&(dim, s, k)| point(cache, dim, s, k))
-}
-
-/// Run the complete Fig. 8 grid with default parallelism and a private
-/// in-memory cache.
-pub fn run_all() -> Vec<Fig8Point> {
-    run_all_with(&Engine::default(), &MapCache::in_memory())
 }
 
 /// Geometric-mean performance per `(dim, page_size)` — the summary rows
@@ -178,9 +155,13 @@ pub fn render(points: &[Fig8Point], dim: u16) -> String {
 mod tests {
     use super::*;
 
+    fn run_config_4x4(page_size: usize) -> Vec<Fig8Point> {
+        run_config(&Engine::default(), &MapCache::in_memory(), 4, page_size)
+    }
+
     #[test]
     fn fig8_4x4_page4_shape() {
-        let points = run_config(4, 4);
+        let points = run_config_4x4(4);
         assert_eq!(points.len(), 11);
         for p in &points {
             assert!(p.ii_constrained >= p.ii_baseline, "{}", p.kernel);
@@ -192,14 +173,14 @@ mod tests {
     #[test]
     fn larger_pages_do_not_hurt() {
         // Page size 8 on the 4x4 (2 pages) should be nearly lossless.
-        let p8 = run_config(4, 8);
+        let p8 = run_config_4x4(8);
         let gm = summary(&p8)[0].2;
         assert!(gm > 85.0, "geomean {gm:.1}% at page size 8");
     }
 
     #[test]
     fn render_contains_all_kernels() {
-        let points = run_config(4, 4);
+        let points = run_config_4x4(4);
         let s = render(&points, 4);
         for name in cgra_dfg::kernels::NAMES {
             assert!(s.contains(name));
@@ -209,8 +190,8 @@ mod tests {
     #[test]
     fn serial_and_parallel_runs_agree() {
         let cache = MapCache::in_memory();
-        let serial = run_config_with(&Engine::with_jobs(1), &cache, 4, 2);
-        let parallel = run_config_with(&Engine::with_jobs(4), &cache, 4, 2);
+        let serial = run_config(&Engine::with_jobs(1), &cache, 4, 2);
+        let parallel = run_config(&Engine::with_jobs(4), &cache, 4, 2);
         assert_eq!(serial, parallel);
     }
 }

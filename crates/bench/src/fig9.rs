@@ -6,22 +6,31 @@
 //! CGRA, and report the percentage improvement in completion time,
 //! averaged over seeds.
 //!
-//! The sweep runs in two [`Engine`] phases: first the kernel libraries
-//! for every fabric in the grid are compiled (in parallel, deduplicated
-//! by the mapping cache), then the simulation points run in parallel.
-//! Workload seeds derive from point *coordinates* via
+//! One entry point per stage: [`run_point`] measures one point,
+//! [`run_all`] sweeps the grid and [`curve`] sweeps fault specs at one
+//! operating point (rows from [`degradation_rows`] or
+//! [`recovery_rows`]). Each takes the [`MapCache`] that compiles the
+//! kernel libraries and a [`Fig9Params`] run spec, which carries the
+//! fault schedule and the tracer as plain inputs.
+//!
+//! The grid sweep runs in two [`Engine`] phases: first the kernel
+//! libraries for every fabric in the grid are compiled (in parallel,
+//! deduplicated by the mapping cache), then the simulation points run in
+//! parallel. Workload seeds derive from point *coordinates* via
 //! [`crate::engine::point_seed`], so `--jobs N` output is byte-identical
 //! for every `N`.
 
 use crate::engine::{point_seed, Engine};
-use crate::libcache::LibCache;
+use crate::mapcache::MapCache;
 use cgra_arch::FaultSpec;
+use cgra_mapper::MapOptions;
 use cgra_obs::Tracer;
 use cgra_sim::{
-    generate, improvement_percent, simulate_baseline, simulate_multithreaded_faulty_traced,
-    CgraNeed, ExpandPolicy, FaultStats, MtConfig, SimError, WorkloadParams,
+    generate, improvement_percent, simulate_baseline, simulate_multithreaded, CgraNeed,
+    ExpandPolicy, FaultStats, KernelLibrary, MtConfig, SimError, WorkloadParams,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One bar of Figure 9 (mean over seeds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,8 +56,9 @@ pub struct Fig9Point {
     pub faults: FaultStats,
 }
 
-/// Sweep parameters.
-#[derive(Debug, Clone, Copy)]
+/// The run spec of a Fig. 9 sweep: every input besides the fabric and
+/// the operating point.
+#[derive(Debug, Clone)]
 pub struct Fig9Params {
     /// Seeds averaged per point.
     pub seeds: u64,
@@ -63,6 +73,13 @@ pub struct Fig9Params {
     /// reseeded per point/seed so timelines are independent but
     /// reproducible.
     pub faults: FaultSpec,
+    /// Receives every multithreaded run (the baseline FCFS runs stay
+    /// untraced — they are the fixed reference). A point's whole seed
+    /// loop is forwarded as one batch, so parallel sweep points writing
+    /// to a shared sink interleave at point granularity, never mid-run.
+    /// Compile events reach a trace only through a
+    /// [`MapCache::traced`] cache. Off by default.
+    pub tracer: Tracer,
 }
 
 impl Default for Fig9Params {
@@ -73,8 +90,15 @@ impl Default for Fig9Params {
             bursts: 4,
             mt: MtConfig::default(),
             faults: FaultSpec::Off,
+            tracer: Tracer::off(),
         }
     }
+}
+
+/// The kernel library of the `dim × dim` fabric with `page_size`-PE
+/// pages, compiled under [`MapOptions::default`].
+fn library(cache: &MapCache, dim: u16, page_size: usize) -> Arc<KernelLibrary> {
+    cache.library(&crate::cgra(dim, page_size), &MapOptions::default())
 }
 
 /// Measure one Fig. 9 point.
@@ -85,37 +109,20 @@ impl Default for Fig9Params {
 /// e.g. a fault schedule that starves a thread. A poisoned point fills
 /// its own result slot; the rest of the sweep completes.
 pub fn run_point(
-    cache: &LibCache,
+    cache: &MapCache,
     dim: u16,
     page_size: usize,
     need: CgraNeed,
     threads: usize,
     params: &Fig9Params,
 ) -> Result<Fig9Point, SimError> {
-    run_point_traced(cache, dim, page_size, need, threads, params, &Tracer::off())
-}
-
-/// [`run_point`] with every multithreaded run of the point emitted to
-/// `tracer` (the baseline FCFS runs stay untraced — they are the fixed
-/// reference). The point's whole seed loop is forwarded as one batch, so
-/// parallel sweep points writing to a shared sink interleave at point
-/// granularity, never mid-run.
-pub fn run_point_traced(
-    cache: &LibCache,
-    dim: u16,
-    page_size: usize,
-    need: CgraNeed,
-    threads: usize,
-    params: &Fig9Params,
-    tracer: &Tracer,
-) -> Result<Fig9Point, SimError> {
-    let lib = cache.get(dim, page_size);
+    let lib = library(cache, dim, page_size);
     let mut improvements = Vec::with_capacity(params.seeds as usize);
     let mut shrinks = 0.0;
     let mut base_total = 0.0;
     let mut mt_total = 0.0;
     let mut faults = FaultStats::default();
-    tracer.batched(|tracer| -> Result<(), SimError> {
+    params.tracer.batched(|tracer| -> Result<(), SimError> {
         for seed in 0..params.seeds {
             // Seeded from the point's coordinates only — never from worker
             // identity or execution order (the engine's determinism
@@ -139,8 +146,7 @@ pub fn run_point_traced(
             );
             let events = params.faults.reseeded(wl_seed).schedule(lib.num_pages);
             let base = simulate_baseline(&lib, &workload);
-            let mt =
-                simulate_multithreaded_faulty_traced(&lib, &workload, params.mt, &events, tracer)?;
+            let mt = simulate_multithreaded(&lib, &workload, params.mt, &events, tracer)?;
             improvements.push(improvement_percent(base.makespan, mt.makespan));
             shrinks += mt.shrinks as f64;
             base_total += base.makespan as f64;
@@ -163,28 +169,15 @@ pub fn run_point_traced(
     })
 }
 
-/// Run the full Fig. 9 grid through an explicit engine and cache.
+/// Run the full Fig. 9 grid.
 ///
 /// Each point carries its own `Result`: one poisoned point (a fault
 /// schedule that starves a thread, a profile hole) reports its
 /// [`SimError`] in its slot while every other point completes.
-pub fn run_all_with(
+pub fn run_all(
     engine: &Engine,
-    cache: &LibCache,
+    cache: &MapCache,
     params: &Fig9Params,
-) -> Vec<Result<Fig9Point, SimError>> {
-    run_all_with_traced(engine, cache, params, &Tracer::off())
-}
-
-/// [`run_all_with`] with every point's multithreaded runs emitted to
-/// `tracer` (each point one contiguous batch; see [`run_point_traced`]).
-/// Compile events reach the trace only if `cache` itself was built over
-/// a traced [`MapCache`](crate::mapcache::MapCache).
-pub fn run_all_with_traced(
-    engine: &Engine,
-    cache: &LibCache,
-    params: &Fig9Params,
-    tracer: &Tracer,
 ) -> Vec<Result<Fig9Point, SimError>> {
     // Phase 1: compile every fabric's library. Parallel across configs;
     // the mapping cache deduplicates shared per-kernel profiles, so no
@@ -194,7 +187,7 @@ pub fn run_all_with_traced(
         .flat_map(|&(dim, sizes)| sizes.iter().map(move |&s| (dim, s)))
         .collect();
     engine.run(&configs, |&(dim, s)| {
-        cache.get(dim, s);
+        library(cache, dim, s);
     });
 
     // Phase 2: the simulation points, self-scheduled across workers.
@@ -209,13 +202,8 @@ pub fn run_all_with_traced(
         }
     }
     engine.run(&points, |&(dim, s, need, t)| {
-        run_point_traced(cache, dim, s, need, t, params, tracer)
+        run_point(cache, dim, s, need, t, params)
     })
-}
-
-/// Run the full Fig. 9 grid with default parallelism.
-pub fn run_all(cache: &LibCache, params: &Fig9Params) -> Vec<Result<Fig9Point, SimError>> {
-    run_all_with(&Engine::default(), cache, params)
 }
 
 /// Split sweep results into the completed points and `(index, error)`
@@ -287,84 +275,95 @@ pub fn headline(points: &[Fig9Point]) -> Vec<(u16, f64)> {
         .collect()
 }
 
+/// Fault-free improvement at the ablation operating point (8 threads,
+/// 87.5 % need) under `mt`.
+fn ablation_point(cache: &MapCache, dim: u16, page_size: usize, mt: MtConfig) -> f64 {
+    let params = Fig9Params {
+        mt,
+        ..Default::default()
+    };
+    run_point(cache, dim, page_size, CgraNeed::High, 8, &params)
+        .expect("fault-free ablation point")
+        .improvement_pct
+}
+
 /// Ablation A1: improvement vs switch-transformation overhead.
-pub fn ablation_overhead(cache: &LibCache, dim: u16, page_size: usize) -> Vec<(u64, f64)> {
+pub fn ablation_overhead(cache: &MapCache, dim: u16, page_size: usize) -> Vec<(u64, f64)> {
     [0u64, 10, 100, 1_000, 10_000]
         .iter()
-        .map(|&overhead| {
-            let params = Fig9Params {
-                mt: MtConfig {
-                    switch_overhead: overhead,
-                    ..Default::default()
-                },
+        .map(|&switch_overhead| {
+            let mt = MtConfig {
+                switch_overhead,
                 ..Default::default()
             };
-            let p = run_point(cache, dim, page_size, CgraNeed::High, 8, &params)
-                .expect("fault-free ablation point");
-            (overhead, p.improvement_pct)
+            (switch_overhead, ablation_point(cache, dim, page_size, mt))
         })
         .collect()
 }
 
 /// Ablation A2: improvement vs expansion policy.
-pub fn ablation_policy(cache: &LibCache, dim: u16, page_size: usize) -> Vec<(String, f64)> {
+pub fn ablation_policy(cache: &MapCache, dim: u16, page_size: usize) -> Vec<(String, f64)> {
     [
         ("smallest-first", ExpandPolicy::SmallestFirst),
         ("largest-first", ExpandPolicy::LargestFirst),
         ("no-expansion", ExpandPolicy::None),
     ]
     .iter()
-    .map(|(name, policy)| {
-        let params = Fig9Params {
-            mt: MtConfig {
-                expand: *policy,
-                ..Default::default()
-            },
+    .map(|&(name, expand)| {
+        let mt = MtConfig {
+            expand,
             ..Default::default()
         };
-        let p = run_point(cache, dim, page_size, CgraNeed::High, 8, &params)
-            .expect("fault-free ablation point");
-        (name.to_string(), p.improvement_pct)
+        (name.to_string(), ablation_point(cache, dim, page_size, mt))
     })
     .collect()
+}
+
+/// One row of a fault curve: its label, the row's fault spec, and the
+/// measured point (or the error that poisoned it).
+pub type CurveRow<L> = (L, FaultSpec, Result<Fig9Point, SimError>);
+
+/// Throughput under a list of fault specs at one operating point — the
+/// highest-contention point (8 threads, 87.5 % need) of the
+/// `dim × dim` fabric with `page_size`-PE pages.
+///
+/// Each row is one Fig. 9 point under `params` with the row's fault
+/// spec, and keeps its label. Poisoned rows (e.g. every page dead)
+/// report their error in their slot.
+pub fn curve<L: Sync>(
+    engine: &Engine,
+    cache: &MapCache,
+    dim: u16,
+    page_size: usize,
+    rows: Vec<(L, FaultSpec)>,
+    params: &Fig9Params,
+) -> Vec<CurveRow<L>> {
+    library(cache, dim, page_size); // compile once, outside the sweep
+    let results = engine.run(&rows, |&(_, spec)| {
+        let row_params = Fig9Params {
+            faults: spec,
+            ..params.clone()
+        };
+        run_point(cache, dim, page_size, CgraNeed::High, 8, &row_params)
+    });
+    rows.into_iter()
+        .zip(results)
+        .map(|((label, spec), r)| (label, spec, r))
+        .collect()
 }
 
 /// Fault-rate scale factors of the degradation curve: 0 is the
 /// fault-free reference row, then the base spec's rate ×1, ×2, ×4, ×8.
 pub const CURVE_SCALES: [u64; 5] = [0, 1, 2, 4, 8];
 
-/// Throughput-vs-fault-rate degradation curve at one operating point.
+/// The rows of the throughput-vs-fault-rate degradation [`curve`],
+/// labelled by rate scale.
 ///
 /// Row 0 is the fault-free reference; each following row scales the base
 /// MTBF spec's fault rate by [`CURVE_SCALES`] (for `At` specs the rate
-/// axis collapses, but the off-vs-on comparison still stands). Poisoned
-/// rows (e.g. every page dead) report their error in their slot.
-#[allow(clippy::type_complexity)]
-pub fn degradation_curve(
-    engine: &Engine,
-    cache: &LibCache,
-    dim: u16,
-    page_size: usize,
-    base: FaultSpec,
-    params: &Fig9Params,
-) -> Vec<(u64, FaultSpec, Result<Fig9Point, SimError>)> {
-    degradation_curve_traced(engine, cache, dim, page_size, base, params, &Tracer::off())
-}
-
-/// [`degradation_curve`] with every row's multithreaded runs emitted to
-/// `tracer` (one contiguous batch per row; see [`run_point_traced`]).
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub fn degradation_curve_traced(
-    engine: &Engine,
-    cache: &LibCache,
-    dim: u16,
-    page_size: usize,
-    base: FaultSpec,
-    params: &Fig9Params,
-    tracer: &Tracer,
-) -> Vec<(u64, FaultSpec, Result<Fig9Point, SimError>)> {
-    cache.get(dim, page_size); // compile once, outside the sweep
-    let rows: Vec<(u64, FaultSpec)> = CURVE_SCALES
+/// axis collapses, but the off-vs-on comparison still stands).
+pub fn degradation_rows(base: FaultSpec) -> Vec<(u64, FaultSpec)> {
+    CURVE_SCALES
         .iter()
         .map(|&scale| {
             let spec = if scale == 0 {
@@ -374,67 +373,12 @@ pub fn degradation_curve_traced(
             };
             (scale, spec)
         })
-        .collect();
-    let results = engine.run(&rows, |&(_, spec)| {
-        let row_params = Fig9Params {
-            faults: spec,
-            ..*params
-        };
-        run_point_traced(
-            cache,
-            dim,
-            page_size,
-            CgraNeed::High,
-            8,
-            &row_params,
-            tracer,
-        )
-    });
-    rows.into_iter()
-        .zip(results)
-        .map(|((scale, spec), r)| (scale, spec, r))
         .collect()
 }
 
 /// Render a degradation curve as a markdown table (errors in-row).
-pub fn render_curve(curve: &[(u64, FaultSpec, Result<Fig9Point, SimError>)]) -> String {
-    let headers = [
-        "rate x",
-        "spec",
-        "improv%",
-        "mt makespan",
-        "killed",
-        "degraded",
-        "remapped",
-        "revoked",
-        "repairs",
-        "reexpand",
-        "recovery cyc",
-    ];
-    let rows: Vec<Vec<String>> = curve
-        .iter()
-        .map(|(scale, spec, r)| match r {
-            Ok(p) => vec![
-                scale.to_string(),
-                spec.to_string(),
-                format!("{:+.1}", p.improvement_pct),
-                format!("{:.0}", p.mt_makespan),
-                p.faults.pages_killed.to_string(),
-                p.faults.pages_degraded.to_string(),
-                p.faults.threads_remapped.to_string(),
-                p.faults.threads_revoked.to_string(),
-                p.faults.repairs.to_string(),
-                p.faults.reexpansions.to_string(),
-                p.faults.recovery_cycles.to_string(),
-            ],
-            Err(e) => {
-                let mut row = vec![scale.to_string(), spec.to_string(), format!("error: {e}")];
-                row.resize(headers.len(), "-".into());
-                row
-            }
-        })
-        .collect();
-    crate::table::markdown(&headers, &rows)
+pub fn render_curve(curve: &[CurveRow<u64>]) -> String {
+    fault_table("rate x", true, curve)
 }
 
 /// MTTR scale factors of the recovery curve: each row multiplies the
@@ -442,8 +386,8 @@ pub fn render_curve(curve: &[(u64, FaultSpec, Result<Fig9Point, SimError>)]) -> 
 /// "repairs get faster, throughput returns".
 pub const RECOVERY_MTTR_SCALES: [u64; 4] = [8, 4, 2, 1];
 
-/// Throughput-vs-repair-speed *recovery* curve at one operating point —
-/// the degradation curve's mttr dimension.
+/// The rows of the throughput-vs-repair-speed *recovery* [`curve`] — the
+/// degradation curve's mttr dimension.
 ///
 /// Row 0 is the fault-free reference and row 1 the same fault schedule
 /// with repair disabled (every transient made permanent): the two ends
@@ -452,31 +396,7 @@ pub const RECOVERY_MTTR_SCALES: [u64; 4] = [8, 4, 2, 1];
 /// — as the repair interval shrinks, throughput visibly returns toward
 /// the fault-free reference. `base` should carry an `mttr=` clause
 /// (rows fall back to a 1000-cycle repair interval when it does not).
-#[allow(clippy::type_complexity)]
-pub fn recovery_curve(
-    engine: &Engine,
-    cache: &LibCache,
-    dim: u16,
-    page_size: usize,
-    base: &FaultSpec,
-    params: &Fig9Params,
-) -> Vec<(String, FaultSpec, Result<Fig9Point, SimError>)> {
-    recovery_curve_traced(engine, cache, dim, page_size, base, params, &Tracer::off())
-}
-
-/// [`recovery_curve`] with every row's multithreaded runs emitted to
-/// `tracer` (one contiguous batch per row; see [`run_point_traced`]).
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub fn recovery_curve_traced(
-    engine: &Engine,
-    cache: &LibCache,
-    dim: u16,
-    page_size: usize,
-    base: &FaultSpec,
-    params: &Fig9Params,
-    tracer: &Tracer,
-) -> Vec<(String, FaultSpec, Result<Fig9Point, SimError>)> {
-    cache.get(dim, page_size); // compile once, outside the sweep
+pub fn recovery_rows(base: &FaultSpec) -> Vec<(String, FaultSpec)> {
     let mttr = base.mttr().unwrap_or(1_000);
     let mut rows: Vec<(String, FaultSpec)> = vec![
         ("fault-free".into(), FaultSpec::Off),
@@ -488,61 +408,53 @@ pub fn recovery_curve_traced(
             base.with_mttr(mttr.saturating_mul(scale)),
         ));
     }
-    let results = engine.run(&rows, |(_, spec)| {
-        let row_params = Fig9Params {
-            faults: *spec,
-            ..*params
-        };
-        run_point_traced(
-            cache,
-            dim,
-            page_size,
-            CgraNeed::High,
-            8,
-            &row_params,
-            tracer,
-        )
-    });
-    rows.into_iter()
-        .zip(results)
-        .map(|((label, spec), r)| (label, spec, r))
-        .collect()
+    rows
 }
 
-/// Render a recovery curve as a markdown table (errors in-row).
-pub fn render_recovery_curve(curve: &[(String, FaultSpec, Result<Fig9Point, SimError>)]) -> String {
-    let headers = [
-        "row",
-        "spec",
-        "improv%",
-        "mt makespan",
-        "killed",
-        "remapped",
-        "revoked",
-        "repairs",
-        "reexpand",
-        "recovery cyc",
-    ];
+/// Render a recovery curve as a markdown table (errors in-row). It has
+/// no `degraded` column: repair concerns killed pages.
+pub fn render_recovery_curve(curve: &[CurveRow<String>]) -> String {
+    fault_table("row", false, curve)
+}
+
+/// A fault curve as a markdown table: the row label (headed `label`),
+/// spec, improvement, makespan and the fault counters, the
+/// degraded-pages count only `with_degraded`. A poisoned row shows its
+/// error and dashes.
+fn fault_table<L: ToString>(label: &str, with_degraded: bool, curve: &[CurveRow<L>]) -> String {
+    let mut headers = vec![label, "spec", "improv%", "mt makespan", "killed"];
+    if with_degraded {
+        headers.push("degraded");
+    }
+    headers.extend(["remapped", "revoked", "repairs", "reexpand", "recovery cyc"]);
     let rows: Vec<Vec<String>> = curve
         .iter()
-        .map(|(label, spec, r)| match r {
-            Ok(p) => vec![
-                label.clone(),
-                spec.to_string(),
-                format!("{:+.1}", p.improvement_pct),
-                format!("{:.0}", p.mt_makespan),
-                p.faults.pages_killed.to_string(),
-                p.faults.threads_remapped.to_string(),
-                p.faults.threads_revoked.to_string(),
-                p.faults.repairs.to_string(),
-                p.faults.reexpansions.to_string(),
-                p.faults.recovery_cycles.to_string(),
-            ],
-            Err(e) => {
-                let mut row = vec![label.clone(), spec.to_string(), format!("error: {e}")];
-                row.resize(headers.len(), "-".into());
-                row
+        .map(|(l, spec, r)| {
+            let mut row = vec![l.to_string(), spec.to_string()];
+            match r {
+                Ok(p) => {
+                    let f = &p.faults;
+                    row.push(format!("{:+.1}", p.improvement_pct));
+                    row.push(format!("{:.0}", p.mt_makespan));
+                    row.push(f.pages_killed.to_string());
+                    if with_degraded {
+                        row.push(f.pages_degraded.to_string());
+                    }
+                    let rest = [
+                        f.threads_remapped,
+                        f.threads_revoked,
+                        f.repairs,
+                        f.reexpansions,
+                        f.recovery_cycles,
+                    ];
+                    row.extend(rest.map(|v| v.to_string()));
+                }
+                Err(e) => {
+                    row.push(format!("error: {e}"));
+                    row.resize(headers.len(), "-".into());
+                }
             }
+            row
         })
         .collect();
     crate::table::markdown(&headers, &rows)
@@ -557,14 +469,13 @@ mod tests {
             seeds: 2,
             work_per_thread: 20_000,
             bursts: 2,
-            mt: MtConfig::default(),
-            faults: FaultSpec::Off,
+            ..Fig9Params::default()
         }
     }
 
     #[test]
     fn single_thread_improvement_is_small() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let p = run_point(&cache, 4, 4, CgraNeed::High, 1, &quick_params()).unwrap();
         // One thread cannot benefit; constrained II may even cost a bit.
         assert!(p.improvement_pct <= 5.0, "{}", p.improvement_pct);
@@ -572,14 +483,14 @@ mod tests {
 
     #[test]
     fn contention_brings_improvement_on_8x8() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let p = run_point(&cache, 8, 4, CgraNeed::High, 16, &quick_params()).unwrap();
         assert!(p.improvement_pct > 50.0, "got {:.1}%", p.improvement_pct);
     }
 
     #[test]
     fn improvement_grows_with_array_size() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let params = quick_params();
         let p4 = run_point(&cache, 4, 4, CgraNeed::High, 16, &params).unwrap();
         let p8 = run_point(&cache, 8, 4, CgraNeed::High, 16, &params).unwrap();
@@ -593,7 +504,7 @@ mod tests {
 
     #[test]
     fn render_has_all_thread_counts() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let pts = vec![run_point(&cache, 4, 4, CgraNeed::Low, 2, &quick_params()).unwrap()];
         let s = render(&pts, 4);
         // The measured cell is rendered signed; everything else is "-".
@@ -603,7 +514,7 @@ mod tests {
 
     #[test]
     fn run_point_is_deterministic() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let a = run_point(&cache, 4, 2, CgraNeed::Medium, 4, &quick_params());
         let b = run_point(&cache, 4, 2, CgraNeed::Medium, 4, &quick_params());
         assert_eq!(a, b);
@@ -611,7 +522,7 @@ mod tests {
 
     #[test]
     fn off_faults_match_the_fault_free_point() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let plain = run_point(&cache, 4, 4, CgraNeed::High, 8, &quick_params()).unwrap();
         let off = run_point(
             &cache,
@@ -631,7 +542,7 @@ mod tests {
 
     #[test]
     fn faulty_point_reports_counters_and_degrades() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let params = Fig9Params {
             faults: FaultSpec::Mtbf {
                 mean: 5_000,
@@ -655,14 +566,21 @@ mod tests {
 
     #[test]
     fn recovery_curve_shows_throughput_returning() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let base = FaultSpec::Mtbf {
             mean: 10_000,
             count: 2,
             seed: 1,
             kind: cgra_arch::FaultKind::Transient { repair_after: 500 },
         };
-        let curve = recovery_curve(&Engine::with_jobs(2), &cache, 4, 4, &base, &quick_params());
+        let curve = curve(
+            &Engine::with_jobs(2),
+            &cache,
+            4,
+            4,
+            recovery_rows(&base),
+            &quick_params(),
+        );
         assert_eq!(curve.len(), 2 + RECOVERY_MTTR_SCALES.len());
         assert_eq!(curve[0].1, FaultSpec::Off);
         let reference = curve[0].2.as_ref().unwrap();
@@ -699,28 +617,49 @@ mod tests {
 
     #[test]
     fn recovery_curve_rows_are_deterministic() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let base = FaultSpec::Mtbf {
             mean: 8_000,
             count: 2,
             seed: 3,
             kind: cgra_arch::FaultKind::Transient { repair_after: 400 },
         };
-        let a = recovery_curve(&Engine::with_jobs(1), &cache, 4, 4, &base, &quick_params());
-        let b = recovery_curve(&Engine::with_jobs(4), &cache, 4, 4, &base, &quick_params());
+        let a = curve(
+            &Engine::with_jobs(1),
+            &cache,
+            4,
+            4,
+            recovery_rows(&base),
+            &quick_params(),
+        );
+        let b = curve(
+            &Engine::with_jobs(4),
+            &cache,
+            4,
+            4,
+            recovery_rows(&base),
+            &quick_params(),
+        );
         assert_eq!(render_recovery_curve(&a), render_recovery_curve(&b));
     }
 
     #[test]
     fn degradation_curve_has_fault_free_reference_row() {
-        let cache = LibCache::new();
+        let cache = MapCache::in_memory();
         let base = FaultSpec::Mtbf {
             mean: 10_000,
             count: 2,
             seed: 1,
             kind: cgra_arch::FaultKind::Kill,
         };
-        let curve = degradation_curve(&Engine::with_jobs(2), &cache, 4, 4, base, &quick_params());
+        let curve = curve(
+            &Engine::with_jobs(2),
+            &cache,
+            4,
+            4,
+            degradation_rows(base),
+            &quick_params(),
+        );
         assert_eq!(curve.len(), CURVE_SCALES.len());
         assert_eq!(curve[0].1, FaultSpec::Off);
         let reference = curve[0].2.as_ref().unwrap();

@@ -12,9 +12,9 @@
 //! * [`fig9`] — Figure 9(a–c): system-level improvement of the
 //!   multithreaded CGRA over the single-threaded FCFS baseline, for each
 //!   thread count, CGRA need, page size, and CGRA size.
-//! * [`mapcache`] — content-keyed mapping / II-table cache, optionally
-//!   persisted to `target/mapcache` (`--no-cache` disables it).
-//! * [`libcache`] — compiled kernel-library facade over the map cache.
+//! * [`mapcache`] — content-keyed mapping / II-table cache of kernel
+//!   profiles and libraries, optionally persisted to `target/mapcache`
+//!   (`--no-cache` disables it); both figure sweeps take it directly.
 //! * [`lint`] — the `cgra-lint` pipeline linter over `cgra-analyze`
 //!   (also behind the figure binaries' `--analyze` flag).
 //! * [`jsonio`] — dependency-free JSON codec backing the disk cache
@@ -32,12 +32,13 @@ pub mod engine;
 pub mod fig8;
 pub mod fig9;
 pub use cgra_obs::jsonio;
-pub mod libcache;
 pub mod lint;
 pub mod mapcache;
 pub mod microbench;
 pub mod obsflags;
 pub mod table;
+
+use cgra_arch::CgraConfig;
 
 /// The paper's experimental grid: `(dimension, page sizes)` per §VII-A.
 /// The 6×6 "8 PE" point is substituted with 3×3 pages (9 PEs) — 8 does
@@ -45,6 +46,16 @@ pub mod table;
 /// on the 4×4 for Fig. 9 ("not enough multithreading potential") but maps
 /// them in Fig. 8; we keep the point in both and let the data show it.
 pub const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[2, 4, 8])];
+
+/// The `dim × dim` fabric with `page_size`-PE pages.
+///
+/// # Panics
+/// Panics if `page_size` does not tile the mesh.
+pub fn cgra(dim: u16, page_size: usize) -> CgraConfig {
+    CgraConfig::square(dim)
+        .with_page_size(page_size)
+        .unwrap_or_else(|e| panic!("{dim}x{dim} page {page_size}: {e}"))
+}
 
 /// Thread counts of Fig. 9.
 pub const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];

@@ -15,7 +15,9 @@
 //!
 //! * the kernel's structural fingerprint ([`cgra_dfg::Dfg::fingerprint`]
 //!   — name, ops, edges; a kernel edit changes the key),
-//! * the fabric geometry (`dim`, `page_size`),
+//! * the fabric's structural fingerprint
+//!   ([`cgra_arch::CgraConfig::fingerprint`] — mesh, page shape, PE
+//!   capability, rotating RF and memory model; any change is a new key),
 //! * the mapper option fingerprint ([`cgra_mapper::MapOptions::fingerprint`]
 //!   — any knob change, including the search seed, changes the key),
 //! * a format version ([`SCHEMA`]), bumped whenever the mapper or
@@ -34,6 +36,7 @@
 //! on the cell — no duplicated mapper work, no torn disk writes (files
 //! are written to a temp name and renamed into place).
 
+use crate::engine::EngineConfig;
 use crate::jsonio::Json;
 use cgra_arch::CgraConfig;
 use cgra_dfg::Dfg;
@@ -47,7 +50,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 /// On-disk format version. Bump when mapper/transform semantics change
 /// in ways a content key cannot capture; old entries are then ignored.
-pub const SCHEMA: u32 = 1;
+pub const SCHEMA: u32 = 2;
 
 /// Cache-hit counters (all monotone; read with [`MapCache::stats`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -67,9 +70,11 @@ pub struct CacheStats {
 struct Key {
     kernel: String,
     dfg_fp: u64,
-    dim: u16,
-    page_size: usize,
+    cgra_fp: u64,
     opts_fp: u64,
+    /// Pages of the fabric — implied by `cgra_fp`, kept to name the file
+    /// and to re-audit a loaded entry.
+    num_pages: u16,
 }
 
 impl Key {
@@ -84,19 +89,16 @@ impl Key {
         };
         eat(self.kernel.as_bytes());
         eat(&self.dfg_fp.to_le_bytes());
-        eat(&self.dim.to_le_bytes());
-        eat(&(self.page_size as u64).to_le_bytes());
+        eat(&self.cgra_fp.to_le_bytes());
         eat(&self.opts_fp.to_le_bytes());
         h
     }
 
     fn file_name(&self) -> String {
         format!(
-            "profile-{}-{}x{}-p{}-{:016x}.json",
+            "profile-{}-{}pages-{:016x}.json",
             self.kernel,
-            self.dim,
-            self.dim,
-            self.page_size,
+            self.num_pages,
             self.digest()
         )
     }
@@ -108,7 +110,8 @@ type LibCell = Arc<OnceLock<Arc<KernelLibrary>>>;
 /// Process-wide cache of compiled kernel profiles and libraries.
 pub struct MapCache {
     profiles: RwLock<HashMap<Key, Cell>>,
-    libraries: RwLock<HashMap<(u16, usize, u64), LibCell>>,
+    /// Keyed by `(CgraConfig::fingerprint, MapOptions::fingerprint)`.
+    libraries: RwLock<HashMap<(u64, u64), LibCell>>,
     /// `None` = memory only; `Some(dir)` = also read/write JSON entries.
     disk_dir: Option<PathBuf>,
     /// When false, every lookup recomputes and nothing is stored — the
@@ -174,6 +177,17 @@ impl MapCache {
         Self::with(None, false)
     }
 
+    /// The cache a sweep binary runs with: [`persistent`](Self::persistent)
+    /// normally, [`disabled`](Self::disabled) when the user passed
+    /// `--no-cache`.
+    pub fn for_config(cfg: EngineConfig) -> Self {
+        if cfg.use_cache {
+            Self::persistent()
+        } else {
+            Self::disabled()
+        }
+    }
+
     /// Emit mapper/transform events for every compilation to `tracer`.
     /// Cache hits (memory or disk) emit nothing: the events describe a
     /// search, and a hit means no search ran.
@@ -192,22 +206,20 @@ impl MapCache {
         }
     }
 
-    /// The compiled profile for `dfg` on a `dim × dim` fabric with
-    /// `page_size`-PE pages under `opts` — computed at most once per
-    /// process per key.
+    /// The compiled profile for `dfg` on `cgra` under `opts` — computed
+    /// at most once per process per key.
     ///
     /// # Panics
     /// Panics if the kernel fails to map (same contract as
     /// [`KernelProfile::compile`]'s callers in the sweeps: the benchmark
     /// suite is expected to map on every grid fabric).
     pub fn profile(&self, dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions) -> Arc<KernelProfile> {
-        let dim = mesh_dim(cgra);
         let key = Key {
             kernel: dfg.name.clone(),
             dfg_fp: dfg.fingerprint(),
-            dim,
-            page_size: cgra.layout().shape().size(),
+            cgra_fp: cgra.fingerprint(),
             opts_fp: opts.fingerprint(),
+            num_pages: cgra.layout().num_pages() as u16,
         };
         if !self.enabled {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -247,11 +259,7 @@ impl MapCache {
         if !self.enabled {
             return build();
         }
-        let key = (
-            mesh_dim(cgra),
-            cgra.layout().shape().size(),
-            opts.fingerprint(),
-        );
+        let key = (cgra.fingerprint(), opts.fingerprint());
         let cell = {
             let read = self.libraries.read().expect("library lock");
             read.get(&key).cloned()
@@ -316,14 +324,9 @@ fn compile(dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions, tracer: &Tracer) -> 
     // Batched so concurrent misses interleave at whole-profile
     // granularity in a shared sink, never event-by-event.
     tracer.batched(|t| {
-        KernelProfile::compile_traced(dfg, cgra, opts, t)
+        KernelProfile::compile(dfg, cgra, opts, t)
             .unwrap_or_else(|e| panic!("profile {} on {:?}: {e}", dfg.name, cgra))
     })
-}
-
-fn mesh_dim(cgra: &CgraConfig) -> u16 {
-    // All fabrics in this crate are square; recover the side length.
-    (cgra.num_pes() as f64).sqrt().round() as u16
 }
 
 fn u64_json(v: u64) -> Json {
@@ -340,9 +343,9 @@ fn write_entry(dir: &Path, key: &Key, profile: &KernelProfile) -> std::io::Resul
         ("schema", Json::Int(SCHEMA as i64)),
         ("kernel", Json::Str(key.kernel.clone())),
         ("dfg_fp", u64_json(key.dfg_fp)),
-        ("dim", Json::Int(key.dim as i64)),
-        ("page_size", Json::Int(key.page_size as i64)),
+        ("cgra_fp", u64_json(key.cgra_fp)),
         ("opts_fp", u64_json(key.opts_fp)),
+        ("num_pages", Json::Int(key.num_pages as i64)),
         ("profile", profile_to_json(profile)),
     ]);
     let path = dir.join(key.file_name());
@@ -358,21 +361,20 @@ fn parse_entry(text: &str, key: &Key) -> Option<KernelProfile> {
     (doc.get("schema")?.as_int()? == SCHEMA as i64).then_some(())?;
     (doc.get("kernel")?.as_str()? == key.kernel).then_some(())?;
     (u64_from(doc.get("dfg_fp"))? == key.dfg_fp).then_some(())?;
-    (doc.get("dim")?.as_int()? == key.dim as i64).then_some(())?;
-    (doc.get("page_size")?.as_int()? == key.page_size as i64).then_some(())?;
+    (u64_from(doc.get("cgra_fp"))? == key.cgra_fp).then_some(())?;
     (u64_from(doc.get("opts_fp"))? == key.opts_fp).then_some(())?;
+    (doc.get("num_pages")?.as_int()? == key.num_pages as i64).then_some(())?;
     let profile = profile_from_json(doc.get("profile")?)?;
     // Key match only proves the entry is *for* this request; the profile
     // itself may still have been corrupted on disk. Re-derive its
     // invariants before trusting it.
-    let n = (key.dim as usize * key.dim as usize / key.page_size) as u16;
     let report = cgra_analyze::analyze_profile(
         &profile.name,
         profile.ii_baseline,
         profile.ii_constrained,
         profile.used_pages,
         &profile.ii_by_pages,
-        n,
+        key.num_pages,
     );
     (!report.has_errors()).then_some(profile)
 }
@@ -427,7 +429,8 @@ pub fn profile_from_json(j: &Json) -> Option<KernelProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::libcache::cgra;
+    use crate::cgra;
+    use cgra_arch::{Mesh, PageShape};
 
     fn sample_profile() -> KernelProfile {
         KernelProfile {
@@ -608,5 +611,42 @@ mod tests {
         cache.profile(&k, &fabric, &MapOptions::default());
         cache.profile(&k, &fabric, &MapOptions::fast());
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn no_cache_config_recomputes_libraries() {
+        let cache = MapCache::for_config(EngineConfig {
+            jobs: 1,
+            use_cache: false,
+        });
+        let a = cache.library(&cgra(4, 4), &MapOptions::default());
+        let b = cache.library(&cgra(4, 4), &MapOptions::default());
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(*a, *b, "library compilation must be deterministic");
+    }
+
+    #[test]
+    fn fabrics_sharing_size_and_page_size_are_different_entries() {
+        // Mesh side and page size alone do not identify a fabric: a 1x4
+        // page shape, a 2x8 mesh or a smaller RF compile differently
+        // from the 4x4 with 2x2 pages, so none may be served its profile.
+        let cache = MapCache::in_memory();
+        let opts = MapOptions::default();
+        let k = cgra_dfg::kernels::mpeg2();
+        cache.profile(&k, &CgraConfig::square(4), &opts);
+        let others = [
+            CgraConfig::new(Mesh::new(4, 4), PageShape::new(1, 4)).unwrap(),
+            CgraConfig::new(Mesh::new(2, 8), PageShape::new(2, 2)).unwrap(),
+            CgraConfig::square(4).with_rf_size(2),
+        ];
+        for (i, fabric) in others.iter().enumerate() {
+            let cached = cache.profile(&k, fabric, &opts);
+            let fresh = KernelProfile::compile(&k, fabric, &opts, &Tracer::off()).unwrap();
+            assert_eq!(*cached, fresh, "{fabric:?}");
+            assert_eq!(cache.stats().mem_hits, 0, "{fabric:?}");
+            assert_eq!(cache.stats().misses, i as u64 + 2);
+        }
+        let lib = cache.library(&CgraConfig::square(4), &opts);
+        assert!(!Arc::ptr_eq(&lib, &cache.library(&others[0], &opts)));
     }
 }

@@ -14,8 +14,9 @@ use std::sync::Arc;
 /// Parsed observability flags plus the live sinks behind the tracer.
 #[derive(Debug)]
 pub struct ObsFlags {
-    /// Hand this to the traced sweep entry points (and to
-    /// [`MapCache::traced`](crate::mapcache::MapCache::traced)). Off when
+    /// Put this in [`Fig9Params::tracer`](crate::fig9::Fig9Params::tracer)
+    /// and hand it to
+    /// [`MapCache::traced`](crate::mapcache::MapCache::traced). Off when
     /// neither flag was passed.
     pub tracer: Tracer,
     metrics: Option<Arc<MetricsSink>>,

@@ -18,8 +18,7 @@ use cgra_arch::{CgraConfig, FaultEvent, FaultKind};
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
 use cgra_sim::{
-    simulate_multithreaded_faulty_traced, KernelLibrary, KernelProfile, MtConfig, Segment,
-    ThreadSpec,
+    simulate_multithreaded, KernelLibrary, KernelProfile, MtConfig, Segment, ThreadSpec,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,7 +36,7 @@ fn capture() -> Vec<TraceEvent> {
     let tracer = Tracer::new(sink.clone());
 
     let cgra = CgraConfig::square(4);
-    let profile = KernelProfile::compile_traced(
+    let profile = KernelProfile::compile(
         &cgra_dfg::kernels::fir(),
         &cgra,
         &MapOptions::default(),
@@ -60,7 +59,7 @@ fn capture() -> Vec<TraceEvent> {
         page: 0,
         kind: FaultKind::Kill,
     }];
-    simulate_multithreaded_faulty_traced(
+    simulate_multithreaded(
         &lib,
         &[thread(600), thread(400)],
         MtConfig::default(),

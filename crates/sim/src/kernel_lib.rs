@@ -47,18 +47,10 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// Compile a kernel for `cgra` and derive its profile.
+    /// Compile a kernel for `cgra` and derive its profile, with both
+    /// mapper searches and every halving-chain transform emitted to
+    /// `tracer` (pass [`Tracer::off`] for an untraced compile).
     pub fn compile(
-        dfg: &cgra_dfg::Dfg,
-        cgra: &CgraConfig,
-        opts: &MapOptions,
-    ) -> Result<Self, MapError> {
-        Self::compile_traced(dfg, cgra, opts, &Tracer::off())
-    }
-
-    /// [`compile`](Self::compile) with both mapper searches and every
-    /// halving-chain transform emitted to `tracer`.
-    pub fn compile_traced(
         dfg: &cgra_dfg::Dfg,
         cgra: &CgraConfig,
         opts: &MapOptions,
@@ -195,22 +187,17 @@ pub struct KernelLibrary {
 }
 
 impl KernelLibrary {
-    /// Compile all 11 benchmark kernels for a fabric.
-    pub fn compile_benchmarks(cgra: &CgraConfig, opts: &MapOptions) -> Result<Self, MapError> {
-        Self::compile_benchmarks_traced(cgra, opts, &Tracer::off())
-    }
-
-    /// [`compile_benchmarks`](Self::compile_benchmarks) with every
+    /// Compile all 11 benchmark kernels for a fabric, with every
     /// kernel's compilation emitted to `tracer` (one `MapBegin`/`MapEnd`
     /// segment per mapper search, in `cgra_dfg::kernels::NAMES` order).
-    pub fn compile_benchmarks_traced(
+    pub fn compile_benchmarks(
         cgra: &CgraConfig,
         opts: &MapOptions,
         tracer: &Tracer,
     ) -> Result<Self, MapError> {
         let profiles = cgra_dfg::kernels::all()
             .iter()
-            .map(|k| KernelProfile::compile_traced(k, cgra, opts, tracer))
+            .map(|k| KernelProfile::compile(k, cgra, opts, tracer))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(KernelLibrary {
             profiles,
@@ -238,6 +225,13 @@ impl KernelLibrary {
 mod tests {
     use super::*;
 
+    /// A kernel's profile on the 4x4 with 2x2 pages.
+    fn profile_4x4(dfg: &cgra_dfg::Dfg) -> KernelProfile {
+        let cgra = CgraConfig::square(4);
+        KernelProfile::compile(dfg, &cgra, &MapOptions::default(), &Tracer::off())
+            .expect("compiles")
+    }
+
     #[test]
     fn halving_chains() {
         assert_eq!(halving_chain(16), vec![16, 8, 4, 2, 1]);
@@ -248,9 +242,7 @@ mod tests {
 
     #[test]
     fn profile_compiles_for_mpeg2_on_4x4() {
-        let cgra = CgraConfig::square(4);
-        let p = KernelProfile::compile(&cgra_dfg::kernels::mpeg2(), &cgra, &MapOptions::default())
-            .expect("compiles");
+        let p = profile_4x4(&cgra_dfg::kernels::mpeg2());
         assert!(p.ii_constrained >= p.ii_baseline);
         assert!(p.used_pages >= 1 && p.used_pages <= 4);
         // Rates weakly degrade as pages shrink.
@@ -286,9 +278,7 @@ mod tests {
 
     #[test]
     fn wanted_pages_covers_footprint() {
-        let cgra = CgraConfig::square(4);
-        let p = KernelProfile::compile(&cgra_dfg::kernels::sor(), &cgra, &MapOptions::default())
-            .expect("compiles");
+        let p = profile_4x4(&cgra_dfg::kernels::sor());
         let want = p.wanted_pages(4);
         assert!(want >= p.used_pages);
         assert!(halving_chain(4).contains(&want));
@@ -297,10 +287,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no transform cached")]
     fn ii_at_off_chain_panics() {
-        let cgra = CgraConfig::square(4);
-        let p =
-            KernelProfile::compile(&cgra_dfg::kernels::laplace(), &cgra, &MapOptions::default())
-                .expect("compiles");
+        let p = profile_4x4(&cgra_dfg::kernels::laplace());
         p.ii_at(3);
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! ## Fault injection
 //!
-//! [`simulate_multithreaded_faulty`] additionally threads a schedule of
+//! [`simulate_multithreaded`] threads a schedule of
 //! [`FaultEvent`]s through the discrete-event loop. A page *death* is
 //! handled exactly like a contention shrink — the owning thread is
 //! remapped onto its surviving pages at the next iteration boundary (or
@@ -716,35 +716,22 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Simulate the multithreaded system; deterministic for a given workload.
-pub fn simulate_multithreaded(
-    lib: &KernelLibrary,
-    threads: &[ThreadSpec],
-    cfg: MtConfig,
-) -> Result<SimReport, SimError> {
-    simulate_multithreaded_faulty(lib, threads, cfg, &[])
-}
-
-/// Simulate the multithreaded system under a fault schedule.
+/// Simulate the multithreaded system under a fault schedule, with every
+/// scheduling decision emitted to `tracer`; deterministic for a given
+/// workload and schedule.
 ///
 /// `faults` need not be sorted; events are applied in `(time, page)`
-/// order, each one strictly before any thread event at a later time.
-/// With an empty schedule this is exactly [`simulate_multithreaded`].
-pub fn simulate_multithreaded_faulty(
-    lib: &KernelLibrary,
-    threads: &[ThreadSpec],
-    cfg: MtConfig,
-    faults: &[FaultEvent],
-) -> Result<SimReport, SimError> {
-    simulate_multithreaded_faulty_traced(lib, threads, cfg, faults, &Tracer::off())
-}
-
-/// [`simulate_multithreaded_faulty`] with every scheduling decision
-/// emitted to `tracer`: one `SimBegin`/`SimEnd` pair bracketing the run
-/// (or `SimAbort` when the simulation errors out), with thread
-/// queue/start/shrink/expand/finish/done, fault, and revoke events in
-/// between, all stamped with simulation time.
-pub fn simulate_multithreaded_faulty_traced(
+/// order, each one strictly before any thread event at a later time. An
+/// empty schedule is the fault-free system. The trace is one
+/// `SimBegin`/`SimEnd` pair bracketing the run (or `SimAbort` when the
+/// simulation errors out), with thread queue/start/shrink/expand/
+/// finish/done, fault, and revoke events in between, all stamped with
+/// simulation time. Pass [`Tracer::off`] for an untraced run.
+///
+/// Re-entrant: the result depends only on the arguments, so concurrent
+/// calls sharing one `&KernelLibrary` (and one `Tracer`) agree with
+/// serial ones.
+pub fn simulate_multithreaded(
     lib: &KernelLibrary,
     threads: &[ThreadSpec],
     cfg: MtConfig,
@@ -815,14 +802,27 @@ mod tests {
     use super::*;
     use crate::stats::improvement_percent;
     use crate::workload::{generate, CgraNeed, WorkloadParams};
+    use cgra_arch::FaultSpec;
     use cgra_mapper::MapOptions;
+    use cgra_obs::RingSink;
+    use std::sync::Arc;
 
     fn lib(dim: u16) -> KernelLibrary {
         KernelLibrary::compile_benchmarks(
             &cgra_arch::CgraConfig::square(dim),
             &MapOptions::default(),
+            &Tracer::off(),
         )
         .expect("library compiles")
+    }
+
+    /// An untraced run under the default [`MtConfig`].
+    fn simulate(
+        lib: &KernelLibrary,
+        threads: &[ThreadSpec],
+        faults: &[FaultEvent],
+    ) -> Result<SimReport, SimError> {
+        simulate_multithreaded(lib, threads, MtConfig::default(), faults, &Tracer::off())
     }
 
     #[test]
@@ -834,7 +834,7 @@ mod tests {
                 iterations: 50,
             }],
         };
-        let r = simulate_multithreaded(&lib, &[spec], MtConfig::default()).unwrap();
+        let r = simulate(&lib, &[spec], &[]).unwrap();
         let ii = lib.profile(0).ii_constrained as u64;
         assert_eq!(r.makespan, 50 * ii);
         assert_eq!(r.shrinks, 0);
@@ -844,8 +844,8 @@ mod tests {
     fn deterministic() {
         let lib = lib(4);
         let w = generate(&lib, &WorkloadParams::default());
-        let a = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
-        let b = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let a = simulate(&lib, &w, &[]).unwrap();
+        let b = simulate(&lib, &w, &[]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -862,7 +862,7 @@ mod tests {
                 iterations: 100,
             }],
         };
-        let r = simulate_multithreaded(&lib, &[spec.clone(), spec], MtConfig::default()).unwrap();
+        let r = simulate(&lib, &[spec.clone(), spec], &[]).unwrap();
         assert_eq!(r.shrinks, 0, "unused-portion rule should serve both");
         let ii = lib.profile(small).ii_constrained as u64;
         assert_eq!(r.makespan, 100 * ii);
@@ -882,7 +882,7 @@ mod tests {
             },
         );
         let base = crate::baseline::simulate_baseline(&lib, &w);
-        let mt = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let mt = simulate(&lib, &w, &[]).unwrap();
         let imp = improvement_percent(base.makespan, mt.makespan);
         assert!(
             imp > 20.0,
@@ -901,7 +901,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let zero = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let zero = simulate(&lib, &w, &[]).unwrap();
         let heavy = simulate_multithreaded(
             &lib,
             &w,
@@ -909,6 +909,8 @@ mod tests {
                 switch_overhead: 1000,
                 ..Default::default()
             },
+            &[],
+            &Tracer::off(),
         )
         .unwrap();
         assert!(heavy.makespan >= zero.makespan);
@@ -926,7 +928,7 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        let r = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+        let r = simulate(&lib, &w, &[]).unwrap();
         assert_eq!(r.cgra_iterations, total);
     }
 
@@ -948,7 +950,7 @@ mod tests {
         // arrives with nothing shrinkable left and must queue until one
         // of the others finishes.
         let threads = [spec(200), spec(200), spec(200), spec(200), spec(50)];
-        let r = simulate_multithreaded(&lib, &threads, MtConfig::default()).unwrap();
+        let r = simulate(&lib, &threads, &[]).unwrap();
         assert!(r.stall_cycles > 0, "fifth thread should have waited: {r:?}");
         assert!(r.thread_finish.iter().all(|&f| f > 0));
         assert_eq!(r.shrinks, 3, "arrivals 1..3 each shrink a tenant");
@@ -956,12 +958,51 @@ mod tests {
 
     #[test]
     fn zero_fault_schedule_is_identical_to_plain_path() {
+        // An `off` spec schedules nothing, and a traced run of it is the
+        // plain untraced fault-free run.
         let lib = lib(4);
         let w = generate(&lib, &WorkloadParams::default());
-        let plain = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
-        let faulty = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &[]).unwrap();
-        assert_eq!(plain, faulty);
-        assert!(!faulty.faults.any());
+        let off = FaultSpec::Off.reseeded(3).schedule(lib.num_pages);
+        assert!(off.is_empty());
+        let plain = simulate(&lib, &w, &[]);
+        let sink = Arc::new(RingSink::unbounded());
+        let traced =
+            simulate_multithreaded(&lib, &w, MtConfig::default(), &off, &Tracer::new(sink));
+        assert_eq!(plain, traced);
+        assert!(!plain.unwrap().faults.any());
+    }
+
+    #[test]
+    fn concurrent_calls_agree_with_serial() {
+        // The sweep engine's contract: runs sharing one `&KernelLibrary`
+        // from many threads match serial runs, with and without faults.
+        let lib = lib(4);
+        let runs: Vec<(Vec<ThreadSpec>, Vec<FaultEvent>)> = (0..8)
+            .map(|i| {
+                let params = WorkloadParams {
+                    threads: 1 + i % 4,
+                    need: CgraNeed::ALL[i % 3],
+                    work_per_thread: 8_000,
+                    bursts: 2,
+                    seed: i as u64,
+                };
+                let faults = match i % 2 {
+                    0 => Vec::new(),
+                    _ => FaultSpec::parse("mtbf=4000,count=2,mttr=1000")
+                        .unwrap()
+                        .reseeded(i as u64)
+                        .schedule(lib.num_pages),
+                };
+                (generate(&lib, &params), faults)
+            })
+            .collect();
+        let run = |(w, f): &(Vec<ThreadSpec>, Vec<FaultEvent>)| simulate(&lib, w, f);
+        let serial: Vec<_> = runs.iter().map(run).collect();
+        let parallel: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = runs.iter().map(|r| s.spawn(move || run(r))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(serial, parallel);
     }
 
     #[test]
@@ -984,13 +1025,7 @@ mod tests {
             page: 0,
             kind: FaultKind::Kill,
         }];
-        let r = simulate_multithreaded_faulty(
-            &lib,
-            &[spec.clone(), spec],
-            MtConfig::default(),
-            &faults,
-        )
-        .unwrap();
+        let r = simulate(&lib, &[spec.clone(), spec], &faults).unwrap();
         assert_eq!(r.faults.injected, 1);
         assert_eq!(r.faults.pages_killed, 1);
         assert_eq!(r.faults.threads_remapped, 1);
@@ -1018,8 +1053,8 @@ mod tests {
                 kind: FaultKind::Degrade,
             },
         ];
-        let a = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &faults).unwrap();
-        let b = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &faults).unwrap();
+        let a = simulate(&lib, &w, &faults).unwrap();
+        let b = simulate(&lib, &w, &faults).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1038,10 +1073,9 @@ mod tests {
         // Four tenants at one page each; kill thread 0's page early. It
         // is revoked, waits, and is re-admitted when a tenant finishes.
         let threads = [spec(500), spec(100), spec(500), spec(500)];
-        let r = simulate_multithreaded_faulty(
+        let r = simulate(
             &lib,
             &threads,
-            MtConfig::default(),
             &[FaultEvent {
                 time: 3,
                 page: 0,
@@ -1074,8 +1108,7 @@ mod tests {
                 kind: FaultKind::Kill,
             })
             .collect();
-        let err =
-            simulate_multithreaded_faulty(&lib, &[spec], MtConfig::default(), &faults).unwrap_err();
+        let err = simulate(&lib, &[spec], &faults).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1109,7 +1142,7 @@ mod tests {
         let (strike, repair_after, quarantine) = (100 * ii, 50 * ii, 64);
         let sink = std::sync::Arc::new(cgra_obs::RingSink::unbounded());
         let tracer = Tracer::new(sink.clone());
-        let r = simulate_multithreaded_faulty_traced(
+        let r = simulate_multithreaded(
             &lib,
             &[spec.clone(), spec],
             MtConfig {
@@ -1184,7 +1217,7 @@ mod tests {
             },
         }];
         let run = |quarantine: u64| {
-            simulate_multithreaded_faulty(
+            simulate_multithreaded(
                 &lib,
                 &[spec.clone(), spec.clone()],
                 MtConfig {
@@ -1192,6 +1225,7 @@ mod tests {
                     ..MtConfig::default()
                 },
                 &fault,
+                &Tracer::off(),
             )
             .unwrap()
         };
@@ -1237,13 +1271,7 @@ mod tests {
                 kind: FaultKind::Kill,
             },
         ];
-        let r = simulate_multithreaded_faulty(
-            &lib,
-            &[spec.clone(), spec],
-            MtConfig::default(),
-            &faults,
-        )
-        .unwrap();
+        let r = simulate(&lib, &[spec.clone(), spec], &faults).unwrap();
         assert_eq!(r.faults.injected, 2);
         assert_eq!(r.faults.pages_killed, 1, "second strike found it dead");
         assert_eq!(r.faults.repairs, 0, "the permanent kill cancels repair");
@@ -1282,7 +1310,7 @@ mod tests {
         ];
         let sink = std::sync::Arc::new(cgra_obs::RingSink::unbounded());
         let tracer = Tracer::new(sink.clone());
-        let r = simulate_multithreaded_faulty_traced(
+        let r = simulate_multithreaded(
             &lib,
             &[spec.clone(), spec],
             MtConfig {
@@ -1329,13 +1357,7 @@ mod tests {
                 kind: FaultKind::Transient { repair_after: 500 },
             })
             .collect();
-        let r = simulate_multithreaded_faulty(
-            &lib,
-            std::slice::from_ref(&spec),
-            MtConfig::default(),
-            &faults,
-        )
-        .unwrap();
+        let r = simulate(&lib, std::slice::from_ref(&spec), &faults).unwrap();
         assert_eq!(r.faults.repairs, 4, "every page comes back");
         assert_eq!(r.faults.threads_revoked, 1);
         assert!(r.faults.recovery_cycles > 0);
@@ -1359,8 +1381,8 @@ mod tests {
                 kind: FaultKind::Transient { repair_after: 200 },
             },
         ];
-        let a = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &faults).unwrap();
-        let b = simulate_multithreaded_faulty(&lib, &w, MtConfig::default(), &faults).unwrap();
+        let a = simulate(&lib, &w, &faults).unwrap();
+        let b = simulate(&lib, &w, &faults).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1377,12 +1399,10 @@ mod tests {
             }],
         };
         let ii = lib.profile(big).ii_constrained as u64;
-        let clean =
-            simulate_multithreaded(&lib, std::slice::from_ref(&spec), MtConfig::default()).unwrap();
-        let degraded = simulate_multithreaded_faulty(
+        let clean = simulate(&lib, std::slice::from_ref(&spec), &[]).unwrap();
+        let degraded = simulate(
             &lib,
             &[spec],
-            MtConfig::default(),
             &[FaultEvent {
                 time: 10 * ii,
                 page: 2,

@@ -27,8 +27,7 @@ use cgra_arch::{CgraConfig, FaultSpec};
 use cgra_mapper::MapOptions;
 use cgra_obs::{RingSink, TraceEvent, Tracer};
 use cgra_sim::{
-    generate, simulate_multithreaded_faulty_traced, CgraNeed, KernelLibrary, MtConfig, SimReport,
-    WorkloadParams,
+    generate, simulate_multithreaded, CgraNeed, KernelLibrary, MtConfig, SimReport, WorkloadParams,
 };
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -49,7 +48,8 @@ fn library() -> KernelLibrary {
     let cgra = CgraConfig::square(6)
         .with_page_size(2)
         .expect("6x6 tiles into pages of 2");
-    KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).expect("library compiles")
+    KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
+        .expect("library compiles")
 }
 
 /// FNV-1a over the `Debug` rendering of every event: a compact pin on
@@ -117,14 +117,9 @@ fn render() -> String {
                 .schedule(lib.num_pages);
             let sink = Arc::new(RingSink::unbounded());
             let tracer = Tracer::new(sink.clone());
-            let report = simulate_multithreaded_faulty_traced(
-                &lib,
-                &workload,
-                MtConfig::default(),
-                &schedule,
-                &tracer,
-            )
-            .expect("simulation completes");
+            let report =
+                simulate_multithreaded(&lib, &workload, MtConfig::default(), &schedule, &tracer)
+                    .expect("simulation completes");
             let _ = writeln!(
                 out,
                 "\n## need {} seed {seed}, {threads} threads, {BURSTS} bursts, faults {label}",

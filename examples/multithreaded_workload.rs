@@ -16,7 +16,8 @@ fn main() {
         "Compiling the 11-kernel library for a {dim}x{dim} CGRA ({} pages)...\n",
         cgra.layout().num_pages()
     );
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).expect("library");
+    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
+        .expect("library");
 
     println!("kernel    footprint(pages)  II(full)  II(half)  II(1 page)");
     let n = lib.num_pages;
@@ -46,7 +47,8 @@ fn main() {
             );
             let base = simulate_baseline(&lib, &workload);
             let mt =
-                simulate_multithreaded(&lib, &workload, MtConfig::default()).expect("simulates");
+                simulate_multithreaded(&lib, &workload, MtConfig::default(), &[], &Tracer::off())
+                    .expect("simulates");
             println!(
                 "{threads:>7} | {:>5} | {:>13} | {:>11} | {:>+10.1}% | {:>7}",
                 need.label(),

@@ -77,9 +77,9 @@ pub mod prelude {
         map_anneal, map_baseline, map_constrained, map_constrained_strict, validate_mapping,
         MapMode, MapOptions, MapResult,
     };
+    pub use cgra_obs::Tracer;
     pub use cgra_sim::{
-        generate, improvement_percent, simulate_baseline, simulate_multithreaded,
-        simulate_multithreaded_faulty, CgraNeed, FaultStats, KernelLibrary, MtConfig, SimError,
-        WorkloadParams,
+        generate, improvement_percent, simulate_baseline, simulate_multithreaded, CgraNeed,
+        FaultStats, KernelLibrary, MtConfig, SimError, WorkloadParams,
     };
 }

@@ -2,27 +2,33 @@
 //! small-scale versions of the Figure 8/9 claims, so regressions in the
 //! experimental story fail CI, not just eyeballs.
 
+use cgra_bench::engine::Engine;
 use cgra_bench::fig9::{run_point, Fig9Params};
-use cgra_bench::libcache::LibCache;
+use cgra_bench::mapcache::MapCache;
 use cgra_bench::{fig8, fig9};
-use cgra_sim::{CgraNeed, MtConfig};
+use cgra_sim::CgraNeed;
 
 fn quick() -> Fig9Params {
     Fig9Params {
         seeds: 2,
         work_per_thread: 20_000,
         bursts: 2,
-        mt: MtConfig::default(),
-        faults: cgra_arch::FaultSpec::Off,
+        ..Fig9Params::default()
     }
+}
+
+/// Geometric-mean Fig. 8 performance of one fabric.
+fn fig8_geomean(dim: u16, page_size: usize) -> f64 {
+    let points = fig8::run_config(&Engine::default(), &MapCache::in_memory(), dim, page_size);
+    fig8::summary(&points)[0].2
 }
 
 /// Fig. 8 shape: constraint losses shrink as pages grow, on every fabric.
 #[test]
 fn fig8_larger_pages_lose_less() {
     for &(dim, sizes) in &cgra_bench::GRID {
-        let small = fig8::summary(&fig8::run_config(dim, sizes[0]))[0].2;
-        let large = fig8::summary(&fig8::run_config(dim, *sizes.last().unwrap()))[0].2;
+        let small = fig8_geomean(dim, sizes[0]);
+        let large = fig8_geomean(dim, *sizes.last().unwrap());
         assert!(
             large >= small - 5.0,
             "{dim}x{dim}: page {} geomean {large:.1}% < page {} geomean {small:.1}%",
@@ -35,14 +41,14 @@ fn fig8_larger_pages_lose_less() {
 /// Fig. 8 shape: at the largest page size, losses are modest.
 #[test]
 fn fig8_large_pages_nearly_lossless() {
-    let gm = fig8::summary(&fig8::run_config(4, 8))[0].2;
+    let gm = fig8_geomean(4, 8);
     assert!(gm > 85.0, "4x4 page-8 geomean {gm:.1}%");
 }
 
 /// Fig. 9 shape: improvement grows with the array (paper's headline).
 #[test]
 fn fig9_improvement_grows_with_array_size() {
-    let cache = LibCache::new();
+    let cache = MapCache::in_memory();
     let p = quick();
     let i4 = run_point(&cache, 4, 4, CgraNeed::High, 16, &p)
         .unwrap()
@@ -64,7 +70,7 @@ fn fig9_improvement_grows_with_array_size() {
 /// cost), matching the paper's negative bars at low thread counts.
 #[test]
 fn fig9_single_thread_pays_constraint_cost() {
-    let cache = LibCache::new();
+    let cache = MapCache::in_memory();
     let p = run_point(&cache, 6, 2, CgraNeed::High, 1, &quick()).unwrap();
     assert!(p.improvement_pct <= 0.0, "got {:+.1}%", p.improvement_pct);
 }
@@ -73,7 +79,7 @@ fn fig9_single_thread_pays_constraint_cost() {
 /// small overheads are indeed negligible (the paper's assumption).
 #[test]
 fn ablation_overhead_negligible_when_small() {
-    let cache = LibCache::new();
+    let cache = MapCache::in_memory();
     let sweep = fig9::ablation_overhead(&cache, 8, 4);
     let at0 = sweep[0].1;
     let at10 = sweep[1].1;

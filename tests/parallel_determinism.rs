@@ -5,13 +5,13 @@
 //! reference path (no threads, no locks), so any divergence pins the
 //! blame on scheduling- or cache-dependent state.
 
+use cgra_arch::{FaultKind, FaultSpec};
 use cgra_bench::engine::Engine;
 use cgra_bench::fig8;
-use cgra_bench::fig9::{self, Fig9Params, Fig9Point};
-use cgra_bench::libcache::LibCache;
+use cgra_bench::fig9::{self, CurveRow, Fig9Params, Fig9Point};
 use cgra_bench::mapcache::MapCache;
 use cgra_obs::{check_trace, RingSink, Tracer};
-use cgra_sim::{CgraNeed, MtConfig};
+use cgra_sim::CgraNeed;
 use std::sync::Arc;
 
 /// The reduced Fig. 8 grid: two page sizes on the 4x4.
@@ -22,7 +22,7 @@ fn fig8_reduced(engine: &Engine, cache: &MapCache) -> Vec<fig8::Fig8Point> {
 }
 
 fn fig8_config(engine: &Engine, cache: &MapCache, dim: u16, page: usize) -> Vec<fig8::Fig8Point> {
-    fig8::run_config_with(engine, cache, dim, page)
+    fig8::run_config(engine, cache, dim, page)
 }
 
 fn quick_params() -> Fig9Params {
@@ -30,14 +30,13 @@ fn quick_params() -> Fig9Params {
         seeds: 2,
         work_per_thread: 20_000,
         bursts: 2,
-        mt: MtConfig::default(),
-        faults: cgra_arch::FaultSpec::Off,
+        ..Fig9Params::default()
     }
 }
 
 /// The reduced Fig. 9 grid: 4x4 fabric, two page sizes, all needs, three
 /// thread counts — driven through the engine like the real sweep.
-fn fig9_reduced(engine: &Engine, cache: &LibCache) -> Vec<Fig9Point> {
+fn fig9_reduced(engine: &Engine, cache: &MapCache) -> Vec<Fig9Point> {
     let params = quick_params();
     let mut points: Vec<(u16, usize, CgraNeed, usize)> = Vec::new();
     for &s in &[2usize, 4] {
@@ -86,15 +85,15 @@ fn fig8_is_byte_identical_across_jobs_and_cache_modes() {
 
 #[test]
 fn fig9_is_byte_identical_across_jobs_and_cache_modes() {
-    let reference = fig9_reduced(&Engine::with_jobs(1), &LibCache::new());
+    let reference = fig9_reduced(&Engine::with_jobs(1), &MapCache::in_memory());
     let reference_render = fig9::render(&reference, 4);
 
     for jobs in [1usize, 4] {
         for cached in [true, false] {
             let cache = if cached {
-                LibCache::new()
+                MapCache::in_memory()
             } else {
-                LibCache::over(MapCache::disabled())
+                MapCache::disabled()
             };
             let got = fig9_reduced(&Engine::with_jobs(jobs), &cache);
             // Fig9Point holds f64 means; PartialEq equality here really is
@@ -112,6 +111,49 @@ fn fig9_is_byte_identical_across_jobs_and_cache_modes() {
     }
 }
 
+/// Run a fault curve at 4x4 page 4 serially and with four workers, each
+/// traced into its own sink. The two must agree point-for-point and
+/// render identically, and both traces must replay clean through the
+/// trace oracle with the same run and event counts. Returns the serial
+/// curve.
+fn curve_across_jobs<L: Sync + PartialEq + std::fmt::Debug>(
+    rows: impl Fn() -> Vec<(L, FaultSpec)>,
+    render: fn(&[CurveRow<L>]) -> String,
+) -> Vec<CurveRow<L>> {
+    let run = |jobs: usize| {
+        let sink = Arc::new(RingSink::unbounded());
+        let params = Fig9Params {
+            tracer: Tracer::new(sink.clone()),
+            ..quick_params()
+        };
+        let cache = MapCache::in_memory();
+        let curve = fig9::curve(&Engine::with_jobs(jobs), &cache, 4, 4, rows(), &params);
+        let report = check_trace(&sink.drain())
+            .unwrap_or_else(|e| panic!("jobs={jobs} trace does not replay clean: {e}"));
+        (curve, report)
+    };
+
+    let (reference, report) = run(1);
+    assert!(reference.iter().all(|(_, _, r)| r.is_ok()), "{reference:?}");
+    assert!(report.runs > 0, "traced runs must be recorded");
+    assert_eq!(report.aborted_runs, 0);
+
+    let (parallel, parallel_report) = run(4);
+    // Fig9Point holds f64 means; equality is bit-level — the contract.
+    assert_eq!(parallel, reference, "curve diverges at jobs=4");
+    assert_eq!(
+        render(&parallel),
+        render(&reference),
+        "rendered curve diverges at jobs=4"
+    );
+    assert_eq!(
+        (parallel_report.runs, parallel_report.events),
+        (report.runs, report.events),
+        "jobs=4 must trace the same runs and events as jobs=1"
+    );
+    reference
+}
+
 #[test]
 fn fault_curve_is_identical_across_jobs_and_traces_are_oracle_clean() {
     // The fault-injection path must honour the same contract as the
@@ -120,55 +162,19 @@ fn fault_curve_is_identical_across_jobs_and_traces_are_oracle_clean() {
     // either run must replay clean through the trace oracle. count=2
     // kills on the 4-page fabric means at most half the fabric dies, so
     // no scale of the curve can starve a thread.
-    let base = cgra_arch::FaultSpec::Mtbf {
+    let base = FaultSpec::Mtbf {
         mean: 10_000,
         count: 2,
         seed: 1,
-        kind: cgra_arch::FaultKind::Kill,
+        kind: FaultKind::Kill,
     };
-    let params = quick_params();
-    let run = |jobs: usize| {
-        let sink = Arc::new(RingSink::unbounded());
-        let tracer = Tracer::new(sink.clone());
-        let cache = LibCache::new();
-        let curve = fig9::degradation_curve_traced(
-            &Engine::with_jobs(jobs),
-            &cache,
-            4,
-            4,
-            base,
-            &params,
-            &tracer,
-        );
-        (curve, sink.drain())
-    };
-
-    let (reference, serial_trace) = run(1);
-    assert!(reference.iter().all(|(_, _, r)| r.is_ok()), "{reference:?}");
-    let report = check_trace(&serial_trace).expect("serial fault trace replays clean");
-    assert!(report.runs > 0, "traced runs must be recorded");
-    assert_eq!(report.aborted_runs, 0);
+    let curve = curve_across_jobs(|| fig9::degradation_rows(base), fig9::render_curve);
     // Faults actually struck — the revoke/shrink machinery was exercised.
-    let faulted = reference
+    let faulted = curve
         .iter()
         .filter_map(|(_, _, r)| r.as_ref().ok())
         .any(|p| p.faults.any());
     assert!(faulted, "no fault ever fired; the curve tests nothing");
-
-    let (parallel, parallel_trace) = run(4);
-    // Fig9Point holds f64 means; equality is bit-level — the contract.
-    assert_eq!(parallel, reference, "fault curve diverges at jobs=4");
-    assert_eq!(
-        fig9::render_curve(&parallel),
-        fig9::render_curve(&reference),
-        "rendered curve diverges at jobs=4"
-    );
-    let parallel_report = check_trace(&parallel_trace).expect("parallel fault trace replays clean");
-    assert_eq!(
-        parallel_report.runs, report.runs,
-        "jobs=4 must trace the same number of runs as jobs=1"
-    );
-    assert_eq!(parallel_report.events, report.events);
 }
 
 #[test]
@@ -178,55 +184,19 @@ fn recovery_curve_is_identical_across_jobs_and_traces_are_oracle_clean() {
     // and the descending-mttr rows) must render byte-identically at
     // jobs=1 and jobs=4, and the traces — now carrying PageRepaired and
     // Reexpanded events — must replay clean through the oracle.
-    let base = cgra_arch::FaultSpec::Mtbf {
+    let base = FaultSpec::Mtbf {
         mean: 10_000,
         count: 2,
         seed: 1,
-        kind: cgra_arch::FaultKind::Transient { repair_after: 500 },
+        kind: FaultKind::Transient { repair_after: 500 },
     };
-    let params = quick_params();
-    let run = |jobs: usize| {
-        let sink = Arc::new(RingSink::unbounded());
-        let tracer = Tracer::new(sink.clone());
-        let cache = LibCache::new();
-        let curve = fig9::recovery_curve_traced(
-            &Engine::with_jobs(jobs),
-            &cache,
-            4,
-            4,
-            &base,
-            &params,
-            &tracer,
-        );
-        (curve, sink.drain())
-    };
-
-    let (reference, serial_trace) = run(1);
-    assert!(reference.iter().all(|(_, _, r)| r.is_ok()), "{reference:?}");
-    let report = check_trace(&serial_trace).expect("serial recovery trace replays clean");
-    assert!(report.runs > 0, "traced runs must be recorded");
-    assert_eq!(report.aborted_runs, 0);
+    let curve = curve_across_jobs(|| fig9::recovery_rows(&base), fig9::render_recovery_curve);
     // Repairs actually fired — the revive/re-expand machinery ran.
-    let repaired = reference
+    let repaired = curve
         .iter()
         .filter_map(|(_, _, r)| r.as_ref().ok())
         .any(|p| p.faults.repairs > 0);
     assert!(repaired, "no page ever repaired; the curve tests nothing");
-
-    let (parallel, parallel_trace) = run(4);
-    assert_eq!(parallel, reference, "recovery curve diverges at jobs=4");
-    assert_eq!(
-        fig9::render_recovery_curve(&parallel),
-        fig9::render_recovery_curve(&reference),
-        "rendered recovery curve diverges at jobs=4"
-    );
-    let parallel_report =
-        check_trace(&parallel_trace).expect("parallel recovery trace replays clean");
-    assert_eq!(
-        parallel_report.runs, report.runs,
-        "jobs=4 must trace the same number of runs as jobs=1"
-    );
-    assert_eq!(parallel_report.events, report.events);
 }
 
 #[test]

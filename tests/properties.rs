@@ -334,7 +334,8 @@ fn allocator_expand_respects_want_caps() {
 #[test]
 fn simulator_agrees_with_hand_computation() {
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).unwrap();
+    let lib =
+        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
     // One thread, one segment: both systems compute exactly.
     let spec = cgra_mt::sim::ThreadSpec {
         segments: vec![cgra_mt::sim::Segment::Cgra {
@@ -343,7 +344,8 @@ fn simulator_agrees_with_hand_computation() {
         }],
     };
     let base = simulate_baseline(&lib, std::slice::from_ref(&spec));
-    let mt = simulate_multithreaded(&lib, &[spec], MtConfig::default()).unwrap();
+    let mt =
+        simulate_multithreaded(&lib, &[spec], MtConfig::default(), &[], &Tracer::off()).unwrap();
     assert_eq!(base.makespan, 7 * lib.profile(0).ii_baseline as u64);
     assert_eq!(mt.makespan, 7 * lib.profile(0).ii_constrained as u64);
 }
@@ -352,7 +354,8 @@ fn simulator_agrees_with_hand_computation() {
 fn multithreaded_never_stalls_forever() {
     // 16 threads on the tiny 4x4: stalls happen, but everything finishes.
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).unwrap();
+    let lib =
+        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
     let w = generate(
         &lib,
         &WorkloadParams {
@@ -363,7 +366,7 @@ fn multithreaded_never_stalls_forever() {
             seed: 5,
         },
     );
-    let r = simulate_multithreaded(&lib, &w, MtConfig::default()).unwrap();
+    let r = simulate_multithreaded(&lib, &w, MtConfig::default(), &[], &Tracer::off()).unwrap();
     assert_eq!(r.thread_finish.len(), 16);
     assert!(r.thread_finish.iter().all(|&f| f > 0));
 }

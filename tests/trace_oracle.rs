@@ -8,9 +8,7 @@
 use cgra_mt::arch::{CgraConfig, FaultKind, FaultSpec};
 use cgra_mt::mapper::MapOptions;
 use cgra_mt::obs::{check_trace, RingSink, TraceEvent, Tracer};
-use cgra_mt::sim::{
-    simulate_multithreaded_faulty_traced, KernelLibrary, MtConfig, Segment, ThreadSpec,
-};
+use cgra_mt::sim::{simulate_multithreaded, KernelLibrary, MtConfig, Segment, ThreadSpec};
 use std::sync::Arc;
 
 #[test]
@@ -22,7 +20,7 @@ fn oracle_passes_on_all_benchmark_kernels_and_a_faulty_run() {
     // Compile all 11 benchmark kernels with full tracing: one
     // MapBegin/MapEnd segment per mapper search (two per kernel —
     // baseline and constrained), plus the halving-chain transforms.
-    let lib = KernelLibrary::compile_benchmarks_traced(&cgra, &MapOptions::default(), &tracer)
+    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &tracer)
         .expect("benchmark suite compiles on the 4x4");
     assert_eq!(lib.len(), cgra_mt::dfg::kernels::all().len());
 
@@ -34,7 +32,7 @@ fn oracle_passes_on_all_benchmark_kernels_and_a_faulty_run() {
                 iterations: 50,
             }],
         };
-        simulate_multithreaded_faulty_traced(&lib, &[spec], MtConfig::default(), &[], &tracer)
+        simulate_multithreaded(&lib, &[spec], MtConfig::default(), &[], &tracer)
             .unwrap_or_else(|e| panic!("kernel {kernel}: {e}"));
     }
 
@@ -59,9 +57,8 @@ fn oracle_passes_on_all_benchmark_kernels_and_a_faulty_run() {
             ],
         })
         .collect();
-    let report =
-        simulate_multithreaded_faulty_traced(&lib, &threads, MtConfig::default(), &faults, &tracer)
-            .expect("faulty multithreaded run completes");
+    let report = simulate_multithreaded(&lib, &threads, MtConfig::default(), &faults, &tracer)
+        .expect("faulty multithreaded run completes");
     assert!(report.faults.pages_killed > 0, "no page ever died");
 
     // The whole stream — compilations, per-kernel runs, the faulty run —
@@ -90,7 +87,7 @@ fn repair_counters_are_consistent_with_the_trace() {
     let sink = Arc::new(RingSink::unbounded());
     let tracer = Tracer::new(sink.clone());
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default())
+    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
         .expect("benchmark suite compiles on the 4x4");
 
     let faults = FaultSpec::Mtbf {
@@ -111,9 +108,8 @@ fn repair_counters_are_consistent_with_the_trace() {
             ],
         })
         .collect();
-    let report =
-        simulate_multithreaded_faulty_traced(&lib, &threads, MtConfig::default(), &faults, &tracer)
-            .expect("transient multithreaded run completes");
+    let report = simulate_multithreaded(&lib, &threads, MtConfig::default(), &faults, &tracer)
+        .expect("transient multithreaded run completes");
     assert!(report.faults.repairs > 0, "no page ever repaired");
 
     let events = sink.drain();
@@ -142,30 +138,31 @@ fn repair_counters_are_consistent_with_the_trace() {
 #[test]
 fn disabled_tracer_emits_nothing_and_changes_nothing() {
     // The zero-cost-when-off contract, end to end: a run with an off
-    // tracer equals a run through the untraced entry point, bit for bit.
+    // tracer (which has no sink to emit to) equals a traced run bit for
+    // bit.
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default()).unwrap();
+    let sink = Arc::new(RingSink::unbounded());
+    let lib = KernelLibrary::compile_benchmarks(
+        &cgra,
+        &MapOptions::default(),
+        &Tracer::new(sink.clone()),
+    )
+    .unwrap();
     let spec = || ThreadSpec {
         segments: vec![Segment::Cgra {
             kernel: 0,
             iterations: 200,
         }],
     };
-    let plain =
-        cgra_mt::sim::simulate_multithreaded(&lib, &[spec(), spec()], MtConfig::default()).unwrap();
-    let traced_off = simulate_multithreaded_faulty_traced(
-        &lib,
-        &[spec(), spec()],
-        MtConfig::default(),
-        &[],
-        &Tracer::off(),
-    )
-    .unwrap();
-    assert_eq!(plain, traced_off);
+    let run = |tracer: &Tracer| {
+        simulate_multithreaded(&lib, &[spec(), spec()], MtConfig::default(), &[], tracer).unwrap()
+    };
+    let traced = run(&Tracer::new(sink.clone()));
+    assert!(!sink.drain().is_empty());
+    assert_eq!(run(&Tracer::off()), traced);
 
     // And compiling with an off tracer produces the identical library.
     let relib =
-        KernelLibrary::compile_benchmarks_traced(&cgra, &MapOptions::default(), &Tracer::off())
-            .unwrap();
+        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
     assert_eq!(lib, relib);
 }
