@@ -11,12 +11,16 @@
 //!   (A302);
 //! * the remap is injective — two columns sharing a physical page would
 //!   double-book its PEs (A303);
-//! * the plan's own column count, the remap length, and the headline
-//!   `effective_pages` agree (A304);
+//! * the plan's own column count and the remap length agree (A304);
 //! * the recorded dead/degraded bookkeeping matches the fault map the
 //!   plan claims to have been built against (A305);
 //! * columns on degraded-but-usable pages are reported as warnings
 //!   (A306) — legal, but the operator should know.
+//!
+//! A recovery plan's remap is the same [`DegradedPlan`] built against
+//! the healed map, so one remap check serves both analyses; only the
+//! code for an unusable backing page differs (A301 here, A310 for a
+//! recovery).
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::plan::analyze_plan;
@@ -26,17 +30,28 @@ use cgra_core::{DegradedPlan, PagedSchedule};
 /// Analyze a degraded plan against its source schedule and the fault map
 /// it must survive on.
 pub fn analyze_degraded(p: &PagedSchedule, d: &DegradedPlan, faults: &FaultMap) -> Report {
+    Report::from_diagnostics(analyze_remap(d, faults, Code::A301OpOnDeadPage))
+        .merge(analyze_plan(p, &d.plan))
+}
+
+/// The column→page remap rules (A302–A306) of `d` against `faults`, with
+/// `unusable` raised for a column backed by an out-of-range or unusable
+/// page. The inner plan is not analyzed here.
+pub(crate) fn analyze_remap(
+    d: &DegradedPlan,
+    faults: &FaultMap,
+    unusable: Code,
+) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     let pages = &d.column_pages;
 
-    if pages.len() != d.plan.m as usize || d.effective_pages != d.plan.m {
+    if pages.len() != d.plan.m as usize {
         diagnostics.push(Diagnostic::new(
             Code::A304DegradedShapeMismatch,
             Span::Global,
             format!(
-                "{} column pages, effective_pages {}, for a plan over {} columns",
+                "{} column pages for a plan over {} columns",
                 pages.len(),
-                d.effective_pages,
                 d.plan.m
             ),
         ));
@@ -46,9 +61,9 @@ pub fn analyze_degraded(p: &PagedSchedule, d: &DegradedPlan, faults: &FaultMap) 
         let span = Span::Column(col as u16);
         if page >= faults.num_pages() || !faults.is_usable(page) {
             diagnostics.push(Diagnostic::new(
-                Code::A301OpOnDeadPage,
+                unusable,
                 span,
-                format!("backed by dead or out-of-range page {page}"),
+                format!("backed by unusable or out-of-range page {page}"),
             ));
         } else if faults.degraded_pages().contains(&page) {
             diagnostics.push(Diagnostic::new(
@@ -92,14 +107,13 @@ pub fn analyze_degraded(p: &PagedSchedule, d: &DegradedPlan, faults: &FaultMap) 
         ));
     }
 
-    Report::from_diagnostics(diagnostics).merge(analyze_plan(p, &d.plan))
+    diagnostics
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cgra_arch::PageHealth;
-    use cgra_core::transform::Strategy;
     use cgra_core::transform_degraded;
 
     #[test]
@@ -107,7 +121,7 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(8, 2, false);
         let mut faults = FaultMap::new(8);
         faults.mark_page(2, PageHealth::Dead);
-        let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+        let d = transform_degraded(&p, &faults, 4).unwrap();
         let rep = analyze_degraded(&p, &d, &faults);
         assert!(rep.is_clean(), "{}", rep.render());
     }
@@ -117,7 +131,7 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut faults = FaultMap::new(4);
         faults.mark_page(1, PageHealth::Degraded);
-        let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+        let d = transform_degraded(&p, &faults, 4).unwrap();
         let rep = analyze_degraded(&p, &d, &faults);
         assert!(rep.codes().contains(&Code::A306ColumnOnDegradedPage));
         assert!(!rep.has_errors(), "{}", rep.render());
@@ -128,7 +142,7 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(8, 2, false);
         let mut faults = FaultMap::new(8);
         faults.mark_page(2, PageHealth::Dead);
-        let mut d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+        let mut d = transform_degraded(&p, &faults, 4).unwrap();
         d.column_pages = vec![2, 4, 4, 6];
         let rep = analyze_degraded(&p, &d, &faults);
         let codes = rep.codes();

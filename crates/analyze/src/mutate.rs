@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use cgra_arch::{CgraConfig, FaultMap, PageHealth, PageId, PeCapability, PeId};
 use cgra_core::fold::fold_to_page;
-use cgra_core::transform::{transform_block, Strategy};
+use cgra_core::transform::transform_block;
 use cgra_core::{
     plan_recovery, transform_degraded, DegradedPlan, FoldedSchedule, PageDep, PagedSchedule,
     RecoveryPlan, RepairedPage,
@@ -82,7 +82,7 @@ impl Artifacts {
 
         let mut faults = FaultMap::new(8);
         faults.mark_page(2, PageHealth::Dead);
-        let degraded = transform_degraded(&p8, &faults, 4, Strategy::Auto).expect("degrades");
+        let degraded = transform_degraded(&p8, &faults, 4).expect("degrades");
 
         // The dead page repairs (Dead → Repairing → Healthy) and the
         // thread re-expands back to the full ring after the quarantine.
@@ -94,8 +94,7 @@ impl Artifacts {
             repaired_at: 1_000,
             activated_at: 1_064,
         }];
-        let recovery = plan_recovery(&p8, &degraded, &healed, &repaired, 64, 42, Strategy::Auto)
-            .expect("recovers");
+        let recovery = plan_recovery(&p8, &degraded, &healed, &repaired, 64, 42).expect("recovers");
 
         let cgra_rf32 = CgraConfig::square(4).with_rf_size(32);
         let fir32 = map_constrained(&kernels::fir(), &cgra_rf32, &opts).expect("fir maps rf32");

@@ -1,15 +1,18 @@
 //! Recovery analysis: a [`RecoveryPlan`] re-checked against the healed
 //! [`FaultMap`], from first principles.
 //!
-//! The inner re-expanded plan is analyzed like any other
-//! ([`analyze_plan`](crate::plan::analyze_plan)), and the column→page
-//! remap is held to the same structural rules as a degraded plan's
-//! (contiguity A302, injectivity A303, bookkeeping A305). On top, the
-//! recovery-specific invariants:
+//! A recovery's remap is an ordinary [`DegradedPlan`] built against the
+//! healed map, so it is held to exactly the degraded plan's rules —
+//! inner plan ([`analyze_plan`](crate::plan::analyze_plan)), contiguity
+//! A302, injectivity A303, shape A304, bookkeeping A305 and the
+//! degraded-page warning A306 — with one code changed:
 //!
 //! * **A310** — repaired-page reuse legality: no recovered column may
 //!   sit on a page that is still dead or mid-repair (`Repairing` is not
-//!   usable; only a committed repair makes a page placeable again);
+//!   usable; only a committed repair makes a page placeable again).
+//!
+//! On top, the repair bookkeeping:
+//!
 //! * **A311** — quarantine respected: every repaired page the plan
 //!   activates must have sat out its full quarantine window
 //!   (`activated_at ≥ repaired_at + quarantine`), the hysteresis that
@@ -18,7 +21,10 @@
 //!   exactly at the iteration the thread had completed
 //!   (`resume_iteration == completed_iterations`) — the
 //!   shrink → repair → expand round trip loses nothing.
+//!
+//! [`DegradedPlan`]: cgra_core::DegradedPlan
 
+use crate::degrade::analyze_remap;
 use crate::diag::{Code, Diagnostic, Report, Span};
 use crate::plan::analyze_plan;
 use cgra_arch::FaultMap;
@@ -27,51 +33,8 @@ use cgra_core::{PagedSchedule, RecoveryPlan};
 /// Analyze a recovery plan against its source schedule and the healed
 /// fault map it re-expands onto.
 pub fn analyze_recovery(p: &PagedSchedule, r: &RecoveryPlan, faults: &FaultMap) -> Report {
-    let mut diagnostics = Vec::new();
-    let pages = &r.column_pages;
-
-    if pages.len() != r.plan.m as usize {
-        diagnostics.push(Diagnostic::new(
-            Code::A304DegradedShapeMismatch,
-            Span::Global,
-            format!(
-                "{} column pages for a plan over {} columns",
-                pages.len(),
-                r.plan.m
-            ),
-        ));
-    }
-
-    // A310: reuse legality. A page is placeable only when the fault map
-    // says it is usable *now* — dead and mid-repair pages are not.
-    for (col, &page) in pages.iter().enumerate() {
-        if page >= faults.num_pages() || !faults.is_usable(page) {
-            diagnostics.push(Diagnostic::new(
-                Code::A310RecoveryOnUnrepairedPage,
-                Span::Column(col as u16),
-                format!("recovered column backed by unusable page {page}"),
-            ));
-        }
-    }
-
-    if pages.windows(2).any(|w| w[1] != w[0] + 1) {
-        diagnostics.push(Diagnostic::new(
-            Code::A302ColumnsNotContiguous,
-            Span::Global,
-            format!("column pages {pages:?} are not a contiguous ascending run"),
-        ));
-    }
-
-    let mut seen = std::collections::HashSet::new();
-    for (col, &page) in pages.iter().enumerate() {
-        if !seen.insert(page) {
-            diagnostics.push(Diagnostic::new(
-                Code::A303RemapNotBijective,
-                Span::Column(col as u16),
-                format!("physical page {page} backs more than one column"),
-            ));
-        }
-    }
+    let mut diagnostics = analyze_remap(&r.remap, faults, Code::A310RecoveryOnUnrepairedPage);
+    let pages = &r.remap.column_pages;
 
     // A311: quarantine. Only repaired pages the plan actually places
     // work on are held to the window — a page repaired but left out of
@@ -105,41 +68,37 @@ pub fn analyze_recovery(p: &PagedSchedule, r: &RecoveryPlan, faults: &FaultMap) 
         ));
     }
 
-    if r.dead_pages != faults.dead_pages() {
-        diagnostics.push(Diagnostic::new(
-            Code::A305FaultBookkeeping,
-            Span::Global,
-            format!(
-                "plan records dead {:?}, fault map says dead {:?}",
-                r.dead_pages,
-                faults.dead_pages()
-            ),
-        ));
-    }
-
-    Report::from_diagnostics(diagnostics).merge(analyze_plan(p, &r.plan))
+    Report::from_diagnostics(diagnostics).merge(analyze_plan(p, &r.remap.plan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cgra_arch::PageHealth;
-    use cgra_core::transform::Strategy;
     use cgra_core::{plan_recovery, transform_degraded, RepairedPage};
 
     fn healed_recovery() -> (PagedSchedule, RecoveryPlan, FaultMap) {
+        healed_recovery_with_degraded(&[])
+    }
+
+    /// Page 2 dies, the thread shrinks, page 2 repairs and `degraded`
+    /// pages turn slow-but-usable before the recovery plan is cut.
+    fn healed_recovery_with_degraded(degraded: &[u16]) -> (PagedSchedule, RecoveryPlan, FaultMap) {
         let p = PagedSchedule::synthetic_canonical(8, 2, false);
         let mut faults = FaultMap::new(8);
         faults.mark_page(2, PageHealth::Dead);
-        let d = transform_degraded(&p, &faults, 8, Strategy::Auto).unwrap();
+        let d = transform_degraded(&p, &faults, 8).unwrap();
         faults.begin_repair(2);
         faults.complete_repair(2);
+        for &page in degraded {
+            faults.mark_page(page, PageHealth::Degraded);
+        }
         let repaired = [RepairedPage {
             page: 2,
             repaired_at: 1_000,
             activated_at: 1_064,
         }];
-        let r = plan_recovery(&p, &d, &faults, &repaired, 64, 42, Strategy::Auto).unwrap();
+        let r = plan_recovery(&p, &d, &faults, &repaired, 64, 42).unwrap();
         (p, r, faults)
     }
 
@@ -151,11 +110,24 @@ mod tests {
     }
 
     #[test]
+    fn degraded_backing_page_warns_a306_but_is_not_an_error() {
+        let (p, r, faults) = healed_recovery_with_degraded(&[5]);
+        assert!(r.remap.column_pages.contains(&5));
+        let rep = analyze_recovery(&p, &r, &faults);
+        assert!(
+            rep.codes().contains(&Code::A306ColumnOnDegradedPage),
+            "{}",
+            rep.render()
+        );
+        assert!(!rep.has_errors(), "{}", rep.render());
+    }
+
+    #[test]
     fn reusing_a_still_dead_page_is_a310() {
         let (p, mut r, mut faults) = healed_recovery();
         // The fabric strikes again after the plan was cut: page 2 dies.
         faults.mark_page(2, PageHealth::Dead);
-        r.dead_pages = faults.dead_pages(); // keep A305 quiet
+        r.remap.dead_pages = faults.dead_pages(); // keep A305 quiet
         let rep = analyze_recovery(&p, &r, &faults);
         assert!(
             rep.codes().contains(&Code::A310RecoveryOnUnrepairedPage),
@@ -169,7 +141,7 @@ mod tests {
         let (p, mut r, mut faults) = healed_recovery();
         faults.mark_page(2, PageHealth::Dead);
         faults.begin_repair(2); // Repairing: still not placeable
-        r.dead_pages = faults.dead_pages();
+        r.remap.dead_pages = faults.dead_pages();
         let rep = analyze_recovery(&p, &r, &faults);
         assert!(
             rep.codes().contains(&Code::A310RecoveryOnUnrepairedPage),
@@ -220,7 +192,7 @@ mod tests {
     #[test]
     fn stale_dead_bookkeeping_is_a305() {
         let (p, mut r, faults) = healed_recovery();
-        r.dead_pages = vec![7];
+        r.remap.dead_pages = vec![7];
         let rep = analyze_recovery(&p, &r, &faults);
         assert!(
             rep.codes().contains(&Code::A305FaultBookkeeping),

@@ -2,23 +2,18 @@
 //!
 //! The paper's core argument (§VI–VII) is that page-level virtualization
 //! lets a thread keep making progress as resources are taken away from
-//! it. A faulty PE or page is just another way resources disappear at
+//! it. A faulty page is just another way resources disappear at
 //! runtime: a [`FaultMap`] records which pages of a fabric are healthy,
-//! degraded (usable at reduced rate) or dead (unusable), and
-//! [`FaultSpec`] describes *when* faults strike — a targeted page at a
-//! fixed time, or MTBF-style random arrivals from a deterministic seeded
-//! stream.
+//! degraded (usable at reduced rate), dead (unusable) or under repair,
+//! and [`FaultSpec`] describes *when* faults strike — a targeted page at
+//! a fixed time, or MTBF-style random arrivals from a deterministic
+//! seeded stream, optionally transient with a repair interval.
 //!
-//! The map composes with the existing page geometry: PE-level faults are
-//! folded onto their containing page via [`PageLayout::page_of`], and the
-//! intra-page coordinates of faulty PEs transform under the D4 subgroup
-//! in [`Orientation`] exactly like relocated page mappings do, so a
-//! runtime that mirrors a page onto a partially-faulty tile can ask where
-//! the faults land in the mirrored frame.
+//! Faults are page-granular: the page is the unit the allocator hands
+//! out and PageMaster remaps around. The one question the remap asks of
+//! a map is [`FaultMap::longest_surviving_run`] — the contiguous ring
+//! stretch a shrunk (or re-expanded) schedule can land on.
 
-use crate::mirror::Orientation;
-use crate::page::{PageLayout, PageShape};
-use crate::topology::{PeId, Pos};
 use serde::{Deserialize, Serialize};
 
 /// Health of one page of the grid.
@@ -40,50 +35,20 @@ pub enum PageHealth {
 /// Health of every page in a fabric, in ring order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultMap {
-    shape: PageShape,
     health: Vec<PageHealth>,
-    /// Intra-page coordinates of faulty PEs, per page (identity frame).
-    faulty_pes: Vec<Vec<Pos>>,
 }
 
 impl FaultMap {
-    /// An all-healthy map over `num_pages` pages of 1×1 shape (the
-    /// page-count-only abstraction the simulator uses).
+    /// An all-healthy map over `num_pages` pages.
     pub fn new(num_pages: u16) -> Self {
         FaultMap {
-            shape: PageShape::new(1, 1),
             health: vec![PageHealth::Healthy; num_pages as usize],
-            faulty_pes: vec![Vec::new(); num_pages as usize],
         }
-    }
-
-    /// An all-healthy map matching a concrete page layout.
-    pub fn for_layout(layout: &PageLayout) -> Self {
-        FaultMap {
-            shape: layout.shape(),
-            health: vec![PageHealth::Healthy; layout.num_pages()],
-            faulty_pes: vec![Vec::new(); layout.num_pages()],
-        }
-    }
-
-    /// A map with the pages containing the given PEs marked per the
-    /// escalation policy of [`FaultMap::mark_pe`].
-    pub fn from_dead_pes(layout: &PageLayout, pes: &[PeId]) -> Self {
-        let mut map = Self::for_layout(layout);
-        for &pe in pes {
-            map.mark_pe(layout, pe);
-        }
-        map
     }
 
     /// Number of pages covered.
     pub fn num_pages(&self) -> u16 {
         self.health.len() as u16
-    }
-
-    /// The page shape faults are recorded against.
-    pub fn shape(&self) -> PageShape {
-        self.shape
     }
 
     /// Health of one page.
@@ -118,9 +83,7 @@ impl FaultMap {
         }
     }
 
-    /// Repairing → Healthy: repair finished; the page's recorded PE
-    /// faults are cleared so majority-vote escalation restarts from
-    /// scratch if it is struck again. Only a page actually in
+    /// Repairing → Healthy: repair finished. Only a page actually in
     /// [`Repairing`] transitions — a page re-killed mid-repair stays
     /// dead.
     ///
@@ -128,42 +91,7 @@ impl FaultMap {
     pub fn complete_repair(&mut self, page: u16) {
         if self.health[page as usize] == PageHealth::Repairing {
             self.health[page as usize] = PageHealth::Healthy;
-            self.faulty_pes[page as usize].clear();
         }
-    }
-
-    /// Record a faulty PE. The containing page becomes [`Degraded`]
-    /// (the mapping can route around one bad PE at reduced rate); once
-    /// more than half the page's PEs are faulty the page is [`Dead`].
-    ///
-    /// [`Degraded`]: PageHealth::Degraded
-    /// [`Dead`]: PageHealth::Dead
-    pub fn mark_pe(&mut self, layout: &PageLayout, pe: PeId) {
-        let page = layout.page_of(pe);
-        let local = layout.intra_pos(pe);
-        let faults = &mut self.faulty_pes[page.index()];
-        if !faults.contains(&local) {
-            faults.push(local);
-        }
-        let health = if faults.len() * 2 > self.shape.size() {
-            PageHealth::Dead
-        } else {
-            PageHealth::Degraded
-        };
-        // Never *improve* a page (a directly-killed page stays dead).
-        if self.health[page.index()] != PageHealth::Dead {
-            self.health[page.index()] = health;
-        }
-    }
-
-    /// Intra-page coordinates of a page's faulty PEs as seen through
-    /// `orient` — where the faults land when the page's mapping is
-    /// mirrored/rotated onto this tile.
-    pub fn faulty_pes(&self, page: u16, orient: Orientation) -> Vec<Pos> {
-        self.faulty_pes[page as usize]
-            .iter()
-            .map(|&p| orient.apply(p, self.shape.h, self.shape.w))
-            .collect()
     }
 
     /// Pages that can still execute ops, in ring order.
@@ -185,18 +113,6 @@ impl FaultMap {
         (0..self.num_pages())
             .filter(|&p| self.health(p) == PageHealth::Degraded)
             .collect()
-    }
-
-    /// Pages currently under repair, in ring order.
-    pub fn repairing_pages(&self) -> Vec<u16> {
-        (0..self.num_pages())
-            .filter(|&p| self.health(p) == PageHealth::Repairing)
-            .collect()
-    }
-
-    /// Number of usable pages.
-    pub fn usable_count(&self) -> u16 {
-        self.usable_pages().len() as u16
     }
 
     /// Maximal runs of consecutive *usable* pages in ring order, as
@@ -695,12 +611,11 @@ impl std::fmt::Display for FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh;
 
     #[test]
     fn fresh_map_is_all_healthy() {
         let m = FaultMap::new(8);
-        assert_eq!(m.usable_count(), 8);
+        assert_eq!(m.usable_pages().len(), 8);
         assert!(m.dead_pages().is_empty());
         assert_eq!(m.surviving_runs(), vec![(0, 8)]);
     }
@@ -712,7 +627,7 @@ mod tests {
         assert_eq!(m.surviving_runs(), vec![(0, 3), (4, 4)]);
         assert_eq!(m.longest_surviving_run(), Some((4, 4)));
         assert_eq!(m.dead_pages(), vec![3]);
-        assert_eq!(m.usable_count(), 7);
+        assert_eq!(m.usable_pages().len(), 7);
     }
 
     #[test]
@@ -736,43 +651,6 @@ mod tests {
         m.mark_page(1, PageHealth::Degraded);
         assert_eq!(m.surviving_runs(), vec![(0, 4)]);
         assert_eq!(m.degraded_pages(), vec![1]);
-    }
-
-    #[test]
-    fn pe_faults_escalate_by_majority() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        // Page 0 is the TL 2x2 quadrant: PEs at (0,0),(0,1),(1,0),(1,1).
-        let mesh = layout.mesh();
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 0)));
-        assert_eq!(m.health(0), PageHealth::Degraded);
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 1)));
-        assert_eq!(m.health(0), PageHealth::Degraded); // 2 of 4: not a majority
-        m.mark_pe(&layout, mesh.pe(Pos::new(1, 0)));
-        assert_eq!(m.health(0), PageHealth::Dead); // 3 of 4
-                                                   // Other pages untouched.
-        assert_eq!(m.health(1), PageHealth::Healthy);
-    }
-
-    #[test]
-    fn duplicate_pe_fault_is_idempotent() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        let pe = layout.mesh().pe(Pos::new(0, 0));
-        m.mark_pe(&layout, pe);
-        m.mark_pe(&layout, pe);
-        assert_eq!(m.faulty_pes(0, Orientation::Identity).len(), 1);
-        assert_eq!(m.health(0), PageHealth::Degraded);
-    }
-
-    #[test]
-    fn faulty_pe_positions_transform_under_orientation() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        m.mark_pe(&layout, layout.mesh().pe(Pos::new(0, 0))); // local (0,0) of page 0
-        assert_eq!(m.faulty_pes(0, Orientation::Identity), vec![Pos::new(0, 0)]);
-        assert_eq!(m.faulty_pes(0, Orientation::MirrorV), vec![Pos::new(0, 1)]);
-        assert_eq!(m.faulty_pes(0, Orientation::Rot180), vec![Pos::new(1, 1)]);
     }
 
     #[test]
@@ -917,7 +795,6 @@ mod tests {
         m.begin_repair(2);
         assert_eq!(m.health(2), PageHealth::Repairing);
         assert!(!m.is_usable(2));
-        assert_eq!(m.repairing_pages(), vec![2]);
         assert_eq!(m.surviving_runs(), vec![(0, 2), (3, 1)]);
 
         // Repairing → Healthy.
@@ -939,25 +816,6 @@ mod tests {
         m.mark_page(3, PageHealth::Dead); // re-struck while repairing
         m.complete_repair(3);
         assert_eq!(m.health(3), PageHealth::Dead);
-    }
-
-    #[test]
-    fn repair_clears_pe_faults_for_fresh_majority_vote() {
-        let layout = PageLayout::for_size(Mesh::new(4, 4), 4).unwrap();
-        let mut m = FaultMap::for_layout(&layout);
-        let mesh = layout.mesh();
-        // Kill page 0 by majority vote.
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 0)));
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 1)));
-        m.mark_pe(&layout, mesh.pe(Pos::new(1, 0)));
-        assert_eq!(m.health(0), PageHealth::Dead);
-        m.begin_repair(0);
-        m.complete_repair(0);
-        assert_eq!(m.health(0), PageHealth::Healthy);
-        assert!(m.faulty_pes(0, Orientation::Identity).is_empty());
-        // A fresh single PE fault only degrades — the vote restarted.
-        m.mark_pe(&layout, mesh.pe(Pos::new(0, 0)));
-        assert_eq!(m.health(0), PageHealth::Degraded);
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn main() {
     if args.iter().any(|a| a == "--strict") {
         println!("## Ablation — strict 1-step discipline vs stable-column (4x4, page 4)\n");
         println!("kernel    II(stable)  II(strict)");
-        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4) {
+        for (name, stable, strict) in fig8::strict_ablation(&engine, &cache, 4, 4, &obs.tracer) {
             println!(
                 "{name:>8}  {stable:>10}  {}",
                 strict

@@ -15,6 +15,7 @@ use crate::cgra;
 use crate::engine::Engine;
 use crate::mapcache::MapCache;
 use cgra_mapper::{map_constrained_strict, MapOptions};
+use cgra_obs::Tracer;
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 8.
@@ -61,19 +62,23 @@ pub fn run_config(engine: &Engine, cache: &MapCache, dim: u16, page_size: usize)
 /// against the default stable-column discipline, on one fabric. Returns
 /// `(kernel, ii_stable, Option<ii_strict>)` — `None` when the kernel does
 /// not fit under strict rules. The stable II comes from the cache; the
-/// strict mapping is ablation-only and always computed fresh.
+/// strict mapping is ablation-only and always computed fresh, its search
+/// emitted to `tracer` as one contiguous segment per kernel.
 pub fn strict_ablation(
     engine: &Engine,
     cache: &MapCache,
     dim: u16,
     page_size: usize,
+    tracer: &Tracer,
 ) -> Vec<(String, u32, Option<u32>)> {
     let fabric = cgra(dim, page_size);
     let opts = MapOptions::default();
     let kernels = cgra_dfg::kernels::all();
     engine.run(&kernels, |k| {
         let stable = cache.profile(k, &fabric, &opts).ii_constrained;
-        let strict = map_constrained_strict(k, &fabric, &opts).ok();
+        let strict = tracer
+            .batched(|t| map_constrained_strict(k, &fabric, &opts, t))
+            .ok();
         (k.name.clone(), stable, strict.map(|r| r.ii()))
     })
 }
@@ -185,6 +190,27 @@ mod tests {
         for name in cgra_dfg::kernels::NAMES {
             assert!(s.contains(name));
         }
+    }
+
+    #[test]
+    fn strict_ablation_traces_every_kernels_search() {
+        let ring = std::sync::Arc::new(cgra_obs::RingSink::unbounded());
+        let tracer = Tracer::new(ring.clone());
+        let rows = strict_ablation(&Engine::with_jobs(2), &MapCache::in_memory(), 4, 4, &tracer);
+        let events = ring.drain();
+        assert_eq!(rows.len(), cgra_dfg::kernels::all().len());
+        for (name, _, _) in &rows {
+            let begins = events
+                .iter()
+                .filter(|e| {
+                    matches!(e, cgra_obs::TraceEvent::MapBegin { kernel, mode, .. }
+                        if kernel == name && mode == "ConstrainedStrict")
+                })
+                .count();
+            assert!(begins >= 1, "{name}: no strict MapBegin in the trace");
+        }
+        // One contiguous segment per search: the oracle accepts the trace.
+        cgra_obs::check_trace(&events).expect("strict trace replays clean");
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub fn lint_config(dim: u16, page_size: usize) -> Vec<LintFinding> {
         if used >= 2 {
             let mut faults = FaultMap::new(used);
             faults.mark_page(0, PageHealth::Dead);
-            if let Ok(d) = transform_degraded(&paged, &faults, used, Strategy::Auto) {
+            if let Ok(d) = transform_degraded(&paged, &faults, used) {
                 push(
                     &name,
                     "degraded-dead0",

@@ -12,13 +12,18 @@
 //!    — a plan scattered over disconnected healthy islands could never
 //!    route its inter-page values);
 //! 2. shrink the schedule onto `M = min(budget, run length)` columns
-//!    with the ordinary [`transform`] machinery;
+//!    with the ordinary [`transform`] machinery, always under
+//!    [`Strategy::Auto`] — Algorithm 1 for canonical schedules, the
+//!    block transform otherwise — because a fault can strike a thread
+//!    running *any* discipline;
 //! 3. record which *physical* page backs each plan column, so the
-//!    validator (and the simulator's allocator) can check that no op
-//!    lands on a dead page.
+//!    analyzer can check that no op lands on a dead page.
 //!
 //! The result is a typed [`DegradedPlan`] instead of a panic; a fully
-//! dead region reports [`TransformError::NoHealthyPages`].
+//! dead region reports [`TransformError::NoHealthyPages`]. The same
+//! builder serves both directions of the remap: a repair's re-expansion
+//! ([`plan_recovery`](crate::recovery::plan_recovery)) is this plan built
+//! against the healed map, plus repair bookkeeping.
 
 use crate::paged::PagedSchedule;
 use crate::transform::{transform, ShrinkPlan, Strategy, TransformError};
@@ -27,20 +32,16 @@ use serde::{Deserialize, Serialize};
 
 /// A [`ShrinkPlan`] remapped onto the surviving pages of a faulty region.
 ///
-/// `plan` is an ordinary shrink plan over `effective_pages` *logical*
-/// columns; `column_pages[c]` names the physical page that backs column
-/// `c`. The physical pages are contiguous and ascending (the surviving
-/// run), so ring adjacency in the plan is physical adjacency on the
-/// fabric.
+/// `plan` is an ordinary shrink plan over `plan.m` *logical* columns;
+/// `column_pages[c]` names the physical page that backs column `c`. The
+/// physical pages are contiguous and ascending (the surviving run), so
+/// ring adjacency in the plan is physical adjacency on the fabric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradedPlan {
     /// The shrink plan over the surviving columns.
     pub plan: ShrinkPlan,
     /// Physical page backing each plan column (`column_pages[col]`).
     pub column_pages: Vec<u16>,
-    /// The new effective page count (`plan.m`, duplicated for callers
-    /// that only need the headline number).
-    pub effective_pages: u16,
     /// Dead pages of the fault map at transformation time.
     pub dead_pages: Vec<u16>,
     /// Degraded-but-usable pages at transformation time.
@@ -48,11 +49,6 @@ pub struct DegradedPlan {
 }
 
 impl DegradedPlan {
-    /// The physical page executing plan column `col`.
-    pub fn physical_page(&self, col: u16) -> u16 {
-        self.column_pages[col as usize]
-    }
-
     /// Whether any plan column sits on a degraded (slow but usable) page.
     pub fn touches_degraded(&self) -> bool {
         self.column_pages
@@ -79,7 +75,6 @@ pub fn transform_degraded(
     p: &PagedSchedule,
     faults: &FaultMap,
     budget: u16,
-    strategy: Strategy,
 ) -> Result<DegradedPlan, TransformError> {
     let (start, len) = faults
         .longest_surviving_run()
@@ -88,10 +83,9 @@ pub fn transform_degraded(
     if m == 0 {
         return Err(TransformError::NoHealthyPages);
     }
-    let plan = transform(p, m, strategy)?;
+    let plan = transform(p, m, Strategy::Auto)?;
     Ok(DegradedPlan {
         column_pages: (start..start + m).collect(),
-        effective_pages: m,
         dead_pages: faults.dead_pages(),
         degraded_pages: faults.degraded_pages(),
         plan,
@@ -113,8 +107,8 @@ mod tests {
     fn zero_faults_is_plain_shrink() {
         let p = PagedSchedule::synthetic_canonical(8, 2, false);
         let faults = FaultMap::new(8);
-        let d = transform_degraded(&p, &faults, 8, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 8);
+        let d = transform_degraded(&p, &faults, 8).unwrap();
+        assert_eq!(d.plan.m, 8);
         assert_eq!(d.column_pages, (0..8).collect::<Vec<u16>>());
         assert!(d.dead_pages.is_empty());
         assert!(!d.touches_degraded());
@@ -127,8 +121,8 @@ mod tests {
         faults.mark_page(2, PageHealth::Dead);
         // Runs: [0,2) and [3,8) — the right side wins with 5 pages, and
         // the budget caps the shrink at 4 columns.
-        let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 4);
+        let d = transform_degraded(&p, &faults, 4).unwrap();
+        assert_eq!(d.plan.m, 4);
         assert_eq!(d.column_pages, vec![3, 4, 5, 6]);
         assert_eq!(d.dead_pages, vec![2]);
     }
@@ -138,8 +132,8 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut faults = FaultMap::new(4);
         faults.mark_page(1, PageHealth::Degraded);
-        let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 4);
+        let d = transform_degraded(&p, &faults, 4).unwrap();
+        assert_eq!(d.plan.m, 4);
         assert_eq!(d.degraded_pages, vec![1]);
         assert!(d.touches_degraded());
     }
@@ -152,7 +146,7 @@ mod tests {
             faults.mark_page(page, PageHealth::Dead);
         }
         assert!(matches!(
-            transform_degraded(&p, &faults, 4, Strategy::Auto),
+            transform_degraded(&p, &faults, 4),
             Err(TransformError::NoHealthyPages)
         ));
     }
@@ -162,7 +156,7 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let faults = FaultMap::new(4);
         assert!(matches!(
-            transform_degraded(&p, &faults, 0, Strategy::Auto),
+            transform_degraded(&p, &faults, 0),
             Err(TransformError::NoHealthyPages)
         ));
     }
@@ -176,8 +170,8 @@ mod tests {
         let ps = PagedSchedule::from_mapping(&r, &cgra).expect("paged extraction");
         let mut faults = FaultMap::new(ps.num_pages);
         faults.mark_page(0, PageHealth::Dead);
-        let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, ps.num_pages - 1);
+        let d = transform_degraded(&ps, &faults, ps.num_pages).unwrap();
+        assert_eq!(d.plan.m, ps.num_pages - 1);
         assert_eq!(d.column_pages.first(), Some(&1));
     }
 }

@@ -15,13 +15,13 @@
 //! * [`validate`] — an independent checker for every §VI-C constraint
 //!   (slot exclusivity, dependence timing and column adjacency, capacity
 //!   bound), plus the dead-page checks for degraded plans.
-//! * [`degrade`] — [`DegradedPlan`](degrade::DegradedPlan): shrinking
-//!   onto the surviving contiguous run of a faulty page region instead
-//!   of panicking when pages die.
+//! * [`degrade`] — [`DegradedPlan`](degrade::DegradedPlan): the one
+//!   fault remap, placing a shrink plan on the longest usable run of a
+//!   page region instead of panicking when pages die.
 //! * [`recovery`] — [`RecoveryPlan`](recovery::RecoveryPlan): the undo,
-//!   re-expanding onto repaired pages back toward the full-ring
-//!   schedule, with the quarantine/iteration bookkeeping the analyzer
-//!   audits (codes A310–A312).
+//!   the same remap built against the healed map (back toward the
+//!   full-ring schedule) plus the repair, quarantine and iteration
+//!   bookkeeping the analyzer audits (codes A310–A312).
 //! * [`fold`] — the PE-level shrink-to-one-page of Fig. 6, with
 //!   intra-page mirroring and rotating-register pressure checks.
 //!
@@ -54,7 +54,7 @@ pub mod validate;
 pub use degrade::{transform_degraded, DegradedPlan};
 pub use fold::{fold_to_page, validate_fold, FoldedSchedule};
 pub use paged::{Discipline, PageDep, PagedSchedule};
-pub use pagemaster::{transform_pagemaster, transform_pagemaster_degraded};
+pub use pagemaster::transform_pagemaster;
 pub use recovery::{plan_recovery, RecoveryPlan, RepairedPage};
 pub use transform::{transform_block, transform_traced, ShrinkPlan, Strategy, TransformError};
 pub use validate::{is_slot_optimal, validate_plan, TransformViolation};

@@ -70,16 +70,6 @@ impl PageDep {
     pub fn gap(&self) -> u32 {
         self.to_time - self.from_time
     }
-
-    /// Producer cell coordinates `(page, slot)` under the given II.
-    pub fn from_cell(&self, ii: u32) -> (u16, u32) {
-        (self.from_page, self.from_time % ii)
-    }
-
-    /// Consumer cell coordinates `(page, slot)` under the given II.
-    pub fn to_cell(&self, ii: u32) -> (u16, u32) {
-        (self.to_page, self.to_time % ii)
-    }
 }
 
 /// Why page-level extraction failed.
@@ -391,8 +381,13 @@ mod tests {
     #[test]
     fn strict_mapping_extracts_canonical() {
         let cgra = cgra_arch::CgraConfig::square(4);
-        let r = map_constrained_strict(&cgra_dfg::kernels::mpeg2(), &cgra, &MapOptions::default())
-            .expect("maps strictly");
+        let r = map_constrained_strict(
+            &cgra_dfg::kernels::mpeg2(),
+            &cgra,
+            &MapOptions::default(),
+            &cgra_obs::Tracer::off(),
+        )
+        .expect("maps strictly");
         let ps = PagedSchedule::from_mapping(&r, &cgra).expect("extracts");
         assert_eq!(ps.discipline, Discipline::Canonical);
         // Canonical: every dep spans exactly one cycle.

@@ -330,28 +330,6 @@ fn fold_to_single_column(p: &PagedSchedule) -> ShrinkPlan {
     }
 }
 
-/// PageMaster transformation over a faulty page region: shrink `p` onto
-/// the longest surviving contiguous run of `faults`, capped at `budget`
-/// columns, returning a typed [`DegradedPlan`](crate::degrade::DegradedPlan)
-/// instead of panicking when pages have died.
-///
-/// Uses [`Strategy::Auto`] underneath — Algorithm 1 for canonical
-/// schedules, the block transform otherwise — because a fault can strike
-/// a thread running *any* discipline; the caller gets a sound plan either
-/// way. See [`crate::degrade`] for the run-selection rules.
-///
-/// # Errors
-///
-/// [`TransformError::NoHealthyPages`] when nothing survives; otherwise
-/// whatever the inner transformation reports.
-pub fn transform_pagemaster_degraded(
-    p: &PagedSchedule,
-    faults: &cgra_arch::FaultMap,
-    budget: u16,
-) -> Result<crate::degrade::DegradedPlan, TransformError> {
-    crate::degrade::transform_degraded(p, faults, budget, Strategy::Auto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,25 +1,26 @@
 //! Re-expansion after repair: undo a [`DegradedPlan`] once pages heal.
 //!
 //! A transient fault shrinks a thread onto the surviving run of its
-//! region ([`transform_degraded`](crate::degrade::transform_degraded));
-//! when the dead pages are repaired and their quarantine windows elapse,
-//! the supervision policy re-expands the thread. This module produces
-//! the typed plan for that *undo*: a full-ring [`ShrinkPlan`] over the
-//! recovered region (the same PageMaster machinery that shrank the
-//! schedule grows it back), plus the bookkeeping the analyzer needs to
-//! prove the recovery legal —
+//! region ([`transform_degraded`]); when the dead pages are repaired and
+//! their quarantine windows elapse, the supervision policy re-expands
+//! the thread. PageMaster is one transformation used in both directions,
+//! so the re-expansion is the *same* remap: a [`DegradedPlan`] built by
+//! [`transform_degraded`] against the healed map with the full source
+//! page count as its budget — at full recovery, the thread's original
+//! full-ring schedule. On top of that remap, a [`RecoveryPlan`] carries
+//! the bookkeeping the analyzer needs to prove the recovery legal —
 //!
-//! * which physical pages back the recovered columns (none may still be
-//!   dead or mid-repair — `cgra-analyze` code **A310**),
+//! * the remap itself, whose backing pages may not still be dead or
+//!   mid-repair (`cgra-analyze` code **A310**),
 //! * when each repaired page was repaired vs. when the plan activates
 //!   it (the quarantine window must be respected — **A311**),
 //! * how many kernel iterations were completed before the fault and at
 //!   which iteration the recovered schedule resumes (the round trip
 //!   must lose nothing — **A312**).
 
-use crate::degrade::DegradedPlan;
+use crate::degrade::{transform_degraded, DegradedPlan};
 use crate::paged::PagedSchedule;
-use crate::transform::{transform, ShrinkPlan, Strategy, TransformError};
+use crate::transform::TransformError;
 use cgra_arch::FaultMap;
 use serde::{Deserialize, Serialize};
 
@@ -36,19 +37,17 @@ pub struct RepairedPage {
 }
 
 /// The undo of a [`DegradedPlan`]: a schedule re-expanded onto the
-/// recovered page region.
+/// recovered page region, plus the repair bookkeeping.
 ///
-/// `plan` is an ordinary plan over `column_pages.len()` logical columns
-/// — at full recovery `plan.m == ` the source schedule's `num_pages`,
-/// i.e. the thread's original full-ring schedule. `column_pages[c]`
-/// names the physical page backing column `c` (contiguous and
-/// ascending, like the degraded plan it undoes).
+/// `remap` is an ordinary degraded plan over the healed map — at full
+/// recovery `remap.plan.m ==` the source schedule's `num_pages`, i.e. the
+/// thread's original full-ring schedule. Its `dead_pages` count a page
+/// still mid-repair as dead ([`FaultMap::dead_pages`] is every unusable
+/// page).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryPlan {
-    /// The re-expanded plan over the recovered columns.
-    pub plan: ShrinkPlan,
-    /// Physical page backing each plan column.
-    pub column_pages: Vec<u16>,
+    /// The re-expanded remap onto the recovered columns.
+    pub remap: DegradedPlan,
     /// Pages that were repaired to make this expansion possible, with
     /// their repair/activation cycles.
     pub repaired: Vec<RepairedPage>,
@@ -61,20 +60,13 @@ pub struct RecoveryPlan {
     /// Iteration index at which the recovered schedule resumes. Equal
     /// to `completed_iterations` when the round trip loses nothing.
     pub resume_iteration: u64,
-    /// Pages of the region still dead (or mid-repair) at recovery time.
-    pub dead_pages: Vec<u16>,
 }
 
 impl RecoveryPlan {
-    /// The physical page executing plan column `col`.
-    pub fn physical_page(&self, col: u16) -> u16 {
-        self.column_pages[col as usize]
-    }
-
     /// Whether the thread is back to the full ring of its source
     /// schedule (`m` recovered columns out of `m` original pages).
     pub fn is_full_ring(&self, p: &PagedSchedule) -> bool {
-        self.plan.m == p.num_pages
+        self.remap.plan.m == p.num_pages
     }
 
     /// Iterations lost across the shrink → repair → expand round trip
@@ -93,14 +85,13 @@ impl RecoveryPlan {
 /// `quarantine`. `completed_iterations` is the thread's progress at
 /// cutover; the returned plan resumes exactly there.
 ///
-/// The target size is the longest surviving run of the healed map,
-/// capped at the source schedule's page count — if every page healed,
-/// the result is the thread's original full-ring schedule.
+/// The remap is [`transform_degraded`] over the healed map with the
+/// source schedule's page count as budget — if every page healed, the
+/// result is the thread's original full-ring schedule.
 ///
 /// # Errors
 ///
-/// [`TransformError::NoHealthyPages`] when the healed map still has no
-/// usable run, or whatever the inner [`transform`] reports.
+/// Whatever [`transform_degraded`] reports on the healed map.
 pub fn plan_recovery(
     p: &PagedSchedule,
     degraded: &DegradedPlan,
@@ -108,37 +99,25 @@ pub fn plan_recovery(
     repaired: &[RepairedPage],
     quarantine: u64,
     completed_iterations: u64,
-    strategy: Strategy,
 ) -> Result<RecoveryPlan, TransformError> {
-    let (start, len) = faults
-        .longest_surviving_run()
-        .ok_or(TransformError::NoHealthyPages)?;
-    let m = len.min(p.num_pages);
-    if m == 0 {
-        return Err(TransformError::NoHealthyPages);
-    }
+    let remap = transform_degraded(p, faults, p.num_pages)?;
     debug_assert!(
-        m >= degraded.effective_pages,
+        remap.plan.m >= degraded.plan.m,
         "recovery must not shrink below the degraded plan"
     );
-    let plan = transform(p, m, strategy)?;
     Ok(RecoveryPlan {
-        column_pages: (start..start + m).collect(),
+        remap,
         repaired: repaired.to_vec(),
         quarantine,
         completed_iterations,
         resume_iteration: completed_iterations,
-        // `dead_pages()` is every non-usable page, so a page mid-repair
-        // (Repairing) counts as dead here — exactly what A310 audits.
-        dead_pages: faults.dead_pages(),
-        plan,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degrade::transform_degraded;
+    use crate::transform::{transform, Strategy};
     use cgra_arch::PageHealth;
 
     // Like `degrade.rs`: legality auditing lives in the analyzer's
@@ -149,7 +128,7 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(pages, 2, false);
         let mut faults = FaultMap::new(pages);
         faults.mark_page(dead, PageHealth::Dead);
-        let d = transform_degraded(&p, &faults, pages, Strategy::Auto).unwrap();
+        let d = transform_degraded(&p, &faults, pages).unwrap();
         // The page repairs: Dead → Repairing → Healthy.
         faults.begin_repair(dead);
         faults.complete_repair(dead);
@@ -159,19 +138,19 @@ mod tests {
     #[test]
     fn full_heal_restores_the_full_ring() {
         let (p, d, faults) = shrink_then_heal(8, 2);
-        assert_eq!(d.effective_pages, 5, "shrunk onto the right-side run");
+        assert_eq!(d.plan.m, 5, "shrunk onto the right-side run");
         let repaired = [RepairedPage {
             page: 2,
             repaired_at: 1_000,
             activated_at: 1_100,
         }];
-        let r = plan_recovery(&p, &d, &faults, &repaired, 100, 42, Strategy::Auto).unwrap();
+        let r = plan_recovery(&p, &d, &faults, &repaired, 100, 42).unwrap();
         assert!(r.is_full_ring(&p));
-        assert_eq!(r.plan.m, 8);
-        assert_eq!(r.column_pages, (0..8).collect::<Vec<u16>>());
+        assert_eq!(r.remap.plan.m, 8);
+        assert_eq!(r.remap.column_pages, (0..8).collect::<Vec<u16>>());
         assert_eq!(r.iterations_lost(), 0);
         assert_eq!(r.resume_iteration, 42);
-        assert!(r.dead_pages.is_empty());
+        assert!(r.remap.dead_pages.is_empty());
     }
 
     #[test]
@@ -180,8 +159,8 @@ mod tests {
         let mut faults = FaultMap::new(8);
         faults.mark_page(1, PageHealth::Dead);
         faults.mark_page(6, PageHealth::Dead);
-        let d = transform_degraded(&p, &faults, 8, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, 4, "run [2,6) wins");
+        let d = transform_degraded(&p, &faults, 8).unwrap();
+        assert_eq!(d.plan.m, 4, "run [2,6) wins");
         // Only page 6 heals; page 1 stays dead.
         faults.begin_repair(6);
         faults.complete_repair(6);
@@ -190,11 +169,11 @@ mod tests {
             repaired_at: 500,
             activated_at: 700,
         }];
-        let r = plan_recovery(&p, &d, &faults, &repaired, 200, 10, Strategy::Auto).unwrap();
-        assert_eq!(r.plan.m, 6, "run [2,8) after the heal");
-        assert_eq!(r.column_pages, vec![2, 3, 4, 5, 6, 7]);
+        let r = plan_recovery(&p, &d, &faults, &repaired, 200, 10).unwrap();
+        assert_eq!(r.remap.plan.m, 6, "run [2,8) after the heal");
+        assert_eq!(r.remap.column_pages, vec![2, 3, 4, 5, 6, 7]);
         assert!(!r.is_full_ring(&p));
-        assert_eq!(r.dead_pages, vec![1]);
+        assert_eq!(r.remap.dead_pages, vec![1]);
     }
 
     #[test]
@@ -202,14 +181,14 @@ mod tests {
         let p = PagedSchedule::synthetic_canonical(4, 1, false);
         let mut faults = FaultMap::new(4);
         faults.mark_page(3, PageHealth::Dead);
-        let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+        let d = transform_degraded(&p, &faults, 4).unwrap();
         // Repair began but the quarantine has not elapsed: the page is
         // Repairing, still unusable.
         faults.begin_repair(3);
-        let r = plan_recovery(&p, &d, &faults, &[], 100, 5, Strategy::Auto).unwrap();
-        assert_eq!(r.plan.m, 3, "repairing page must not be re-placed");
-        assert_eq!(r.column_pages, vec![0, 1, 2]);
-        assert_eq!(r.dead_pages, vec![3], "mid-repair counts as dead");
+        let r = plan_recovery(&p, &d, &faults, &[], 100, 5).unwrap();
+        assert_eq!(r.remap.plan.m, 3, "repairing page must not be re-placed");
+        assert_eq!(r.remap.column_pages, vec![0, 1, 2]);
+        assert_eq!(r.remap.dead_pages, vec![3], "mid-repair counts as dead");
     }
 
     #[test]
@@ -222,12 +201,11 @@ mod tests {
         let d = DegradedPlan {
             plan: transform(&p, 1, Strategy::Auto).unwrap(),
             column_pages: vec![0],
-            effective_pages: 1,
             dead_pages: vec![],
             degraded_pages: vec![],
         };
         assert!(matches!(
-            plan_recovery(&p, &d, &faults, &[], 0, 0, Strategy::Auto),
+            plan_recovery(&p, &d, &faults, &[], 0, 0),
             Err(TransformError::NoHealthyPages)
         ));
     }
@@ -241,8 +219,8 @@ mod tests {
         let ps = PagedSchedule::from_mapping(&r, &cgra).expect("paged extraction");
         let mut faults = FaultMap::new(ps.num_pages);
         faults.mark_page(0, PageHealth::Dead);
-        let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto).unwrap();
-        assert_eq!(d.effective_pages, ps.num_pages - 1);
+        let d = transform_degraded(&ps, &faults, ps.num_pages).unwrap();
+        assert_eq!(d.plan.m, ps.num_pages - 1);
         faults.begin_repair(0);
         faults.complete_repair(0);
         let repaired = [RepairedPage {
@@ -250,11 +228,11 @@ mod tests {
             repaired_at: 2_000,
             activated_at: 2_064,
         }];
-        let rec = plan_recovery(&ps, &d, &faults, &repaired, 64, 77, Strategy::Auto).unwrap();
+        let rec = plan_recovery(&ps, &d, &faults, &repaired, 64, 77).unwrap();
         assert!(rec.is_full_ring(&ps));
         assert_eq!(rec.iterations_lost(), 0);
         assert!(
-            crate::validate::validate_plan(&ps, &rec.plan).is_empty(),
+            crate::validate::validate_plan(&ps, &rec.remap.plan).is_empty(),
             "recovered full-ring plan is legal"
         );
     }

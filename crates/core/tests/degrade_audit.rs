@@ -8,7 +8,6 @@
 //! links this crate's library instance, not the unit-test build.)
 
 use cgra_arch::{FaultMap, PageHealth};
-use cgra_core::transform::Strategy;
 use cgra_core::{transform_degraded, DegradedPlan, PagedSchedule};
 
 fn assert_clean(p: &PagedSchedule, d: &DegradedPlan, faults: &FaultMap) {
@@ -20,7 +19,7 @@ fn assert_clean(p: &PagedSchedule, d: &DegradedPlan, faults: &FaultMap) {
 fn zero_fault_shrink_analyzes_clean() {
     let p = PagedSchedule::synthetic_canonical(8, 2, false);
     let faults = FaultMap::new(8);
-    let d = transform_degraded(&p, &faults, 8, Strategy::Auto).unwrap();
+    let d = transform_degraded(&p, &faults, 8).unwrap();
     assert_clean(&p, &d, &faults);
 }
 
@@ -29,7 +28,7 @@ fn dead_middle_page_route_around_analyzes_clean() {
     let p = PagedSchedule::synthetic_canonical(8, 2, false);
     let mut faults = FaultMap::new(8);
     faults.mark_page(2, PageHealth::Dead);
-    let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+    let d = transform_degraded(&p, &faults, 4).unwrap();
     assert_clean(&p, &d, &faults);
 }
 
@@ -38,7 +37,7 @@ fn degraded_page_analyzes_with_warning_not_error() {
     let p = PagedSchedule::synthetic_canonical(4, 1, false);
     let mut faults = FaultMap::new(4);
     faults.mark_page(1, PageHealth::Degraded);
-    let d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+    let d = transform_degraded(&p, &faults, 4).unwrap();
     let rep = cgra_analyze::analyze_degraded(&p, &d, &faults);
     assert!(!rep.has_errors(), "{}", rep.render());
     // Running on a degraded page is legal but flagged.
@@ -59,7 +58,7 @@ fn real_kernel_one_dead_page_analyzes_clean() {
     let ps = PagedSchedule::from_mapping(&r, &cgra).expect("paged extraction");
     let mut faults = FaultMap::new(ps.num_pages);
     faults.mark_page(0, PageHealth::Dead);
-    let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto).unwrap();
+    let d = transform_degraded(&ps, &faults, ps.num_pages).unwrap();
     assert_clean(&ps, &d, &faults);
 }
 
@@ -70,7 +69,7 @@ fn hand_broken_degraded_plan_is_rejected() {
     let p = PagedSchedule::synthetic_canonical(8, 2, false);
     let mut faults = FaultMap::new(8);
     faults.mark_page(2, PageHealth::Dead);
-    let mut d = transform_degraded(&p, &faults, 4, Strategy::Auto).unwrap();
+    let mut d = transform_degraded(&p, &faults, 4).unwrap();
     d.column_pages[0] = 2;
     let rep = cgra_analyze::analyze_degraded(&p, &d, &faults);
     assert!(rep.has_errors());

@@ -117,7 +117,7 @@ fn check_golden(name: &str, actual: &str) {
 /// column-to-physical-page backing, then the inner plan.
 fn render_degraded(d: &DegradedPlan) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "effective_pages: {}", d.effective_pages);
+    let _ = writeln!(out, "effective_pages: {}", d.plan.m);
     let _ = writeln!(out, "column_pages: {:?}", d.column_pages);
     let _ = writeln!(out, "dead_pages: {:?}", d.dead_pages);
     let _ = writeln!(out, "degraded_pages: {:?}", d.degraded_pages);
@@ -151,9 +151,9 @@ fn degraded_plan_matches_golden_and_validates() {
     // 1..N, so the plan shrinks by exactly one column.
     let mut faults = FaultMap::new(paged.num_pages);
     faults.mark_page(0, PageHealth::Dead);
-    let degraded = transform_degraded(&paged, &faults, paged.num_pages, Strategy::Auto)
-        .expect("survives one dead page");
-    assert_eq!(degraded.effective_pages, paged.num_pages - 1);
+    let degraded =
+        transform_degraded(&paged, &faults, paged.num_pages).expect("survives one dead page");
+    assert_eq!(degraded.plan.m, paged.num_pages - 1);
     let report = cgra_analyze::analyze_degraded(&paged, &degraded, &faults);
     assert!(!report.has_errors(), "{}", report.render());
     check_golden(

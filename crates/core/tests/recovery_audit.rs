@@ -11,7 +11,6 @@
 //! dev-dependency cycle: it links this crate's library instance.)
 
 use cgra_arch::{CgraConfig, FaultMap, PageHealth};
-use cgra_core::transform::Strategy;
 use cgra_core::{plan_recovery, transform_degraded, PagedSchedule, RepairedPage};
 use cgra_mapper::{map_constrained, MapOptions};
 
@@ -35,9 +34,9 @@ fn round_trip(kernel: cgra_dfg::Dfg, dead_page: u16, completed: u64) {
     // Strike: the page dies, the thread shrinks onto the survivors.
     let mut faults = FaultMap::new(ps.num_pages);
     faults.mark_page(dead_page, PageHealth::Dead);
-    let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto)
+    let d = transform_degraded(&ps, &faults, ps.num_pages)
         .unwrap_or_else(|e| panic!("{name} degrades: {e:?}"));
-    assert!(d.effective_pages < ps.num_pages, "{name}: must shrink");
+    assert!(d.plan.m < ps.num_pages, "{name}: must shrink");
     let degrade_report = cgra_analyze::analyze_degraded(&ps, &d, &faults);
     assert!(!degrade_report.has_errors(), "{}", degrade_report.render());
 
@@ -49,22 +48,14 @@ fn round_trip(kernel: cgra_dfg::Dfg, dead_page: u16, completed: u64) {
         repaired_at: 10_000,
         activated_at: 10_000 + QUARANTINE,
     }];
-    let rec = plan_recovery(
-        &ps,
-        &d,
-        &faults,
-        &repaired,
-        QUARANTINE,
-        completed,
-        Strategy::Auto,
-    )
-    .unwrap_or_else(|e| panic!("{name} recovers: {e:?}"));
+    let rec = plan_recovery(&ps, &d, &faults, &repaired, QUARANTINE, completed)
+        .unwrap_or_else(|e| panic!("{name} recovers: {e:?}"));
 
     // Back on the original page count, zero iterations lost.
     assert!(
         rec.is_full_ring(&ps),
         "{name}: recovered {} of {} pages",
-        rec.plan.m,
+        rec.remap.plan.m,
         ps.num_pages
     );
     assert_eq!(rec.iterations_lost(), 0, "{name}: iterations lost");
@@ -100,13 +91,13 @@ fn mid_repair_reexpansion_is_flagged_a310() {
     let ps = PagedSchedule::from_mapping(&r, &cgra).expect("paged extraction");
     let mut faults = FaultMap::new(ps.num_pages);
     faults.mark_page(0, PageHealth::Dead);
-    let d = transform_degraded(&ps, &faults, ps.num_pages, Strategy::Auto).unwrap();
+    let d = transform_degraded(&ps, &faults, ps.num_pages).unwrap();
     // Heal fully to *build* the plan, then regress the map to Repairing
     // to model a premature cutover.
     let mut healed = faults.clone();
     healed.begin_repair(0);
     healed.complete_repair(0);
-    let rec = plan_recovery(&ps, &d, &healed, &[], QUARANTINE, 5, Strategy::Auto).unwrap();
+    let rec = plan_recovery(&ps, &d, &healed, &[], QUARANTINE, 5).unwrap();
     let mut mid_repair = FaultMap::new(ps.num_pages);
     mid_repair.mark_page(0, PageHealth::Dead);
     mid_repair.begin_repair(0);

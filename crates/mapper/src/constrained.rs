@@ -15,7 +15,7 @@
 //!    spills are chosen adaptively from routing-failure statistics.
 
 use crate::ems::MapResult;
-use crate::engine::{schedule_from_traced, FailureStats};
+use crate::engine::{schedule, FailureStats};
 use crate::error::MapError;
 use crate::mapping::MapMode;
 use crate::opts::MapOptions;
@@ -94,11 +94,13 @@ pub fn map_constrained_traced(
 
 /// Map a kernel under the strict 1-step discipline, producing purely
 /// canonical page schedules (the input form of the paper's Algorithm 1).
-/// Loop-carried values outside recurrence cycles are pre-spilled.
+/// Loop-carried values outside recurrence cycles are pre-spilled. The
+/// search's decisions are emitted to `tracer`.
 pub fn map_constrained_strict(
     dfg: &Dfg,
     cgra: &CgraConfig,
     opts: &MapOptions,
+    tracer: &Tracer,
 ) -> Result<MapResult, MapError> {
     map_with_mode(
         dfg,
@@ -106,7 +108,7 @@ pub fn map_constrained_strict(
         opts,
         MapMode::ConstrainedStrict,
         pre_spill_set(dfg),
-        &Tracer::off(),
+        tracer,
     )
 }
 
@@ -122,7 +124,7 @@ fn map_with_mode(
     let mut last_err = None;
     for _round in 0..=opts.spill_rounds {
         let mdfg = MapDfg::with_spills(dfg, &spilled);
-        let out = schedule_from_traced(&mdfg, cgra, mode, opts, None, tracer);
+        let out = schedule(&mdfg, cgra, mode, opts, tracer);
         match out.mapping {
             Ok(mapping) => {
                 return Ok(MapResult {

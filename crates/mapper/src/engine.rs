@@ -370,32 +370,6 @@ impl<'a> Attempt<'a> {
     fn run(&mut self, order: &[NodeId], asap: &[u32], rng: &mut StdRng) -> Result<(), NodeId> {
         for &v in order {
             if !self.place_node(v, asap, rng) {
-                // Opt-in diagnostics for mapper tuning.
-                if std::env::var_os("CGRA_MAPPER_DEBUG").is_some() {
-                    let (plo, phi) = self.page_bounds(v);
-                    eprintln!(
-                        "[mapper] ii={} failed at {} ({:?}) asap={} pages=[{},{}]",
-                        self.ii,
-                        v,
-                        self.mdfg.dfg.node(v).op,
-                        asap[v.index()],
-                        plo,
-                        phi
-                    );
-                    for e in self.mdfg.dfg.pred_edges(v) {
-                        let src = self.mdfg.dfg.edge(e).src;
-                        if let Some(p) = self.placed[src.index()] {
-                            eprintln!(
-                                "[mapper]   pred {} ({:?}) at ({}, t{}) page {}",
-                                src,
-                                self.mdfg.dfg.node(src).op,
-                                p.pe,
-                                p.time,
-                                self.cgra.layout().page_of(p.pe)
-                            );
-                        }
-                    }
-                }
                 return Err(v);
             }
         }
@@ -544,38 +518,14 @@ pub struct ScheduleOutcome {
 }
 
 /// Search for a modulo schedule of `mdfg` on `cgra` under `mode`, between
-/// the MII and `mii + opts.max_ii_slack`.
+/// the MII and `mii + opts.max_ii_slack`, emitting the search's decisions
+/// — begin, backtracks, validator evictions, final placements/routes,
+/// end — to `tracer`. With the tracer off events are never constructed.
 pub fn schedule(
     mdfg: &MapDfg,
     cgra: &CgraConfig,
     mode: MapMode,
     opts: &MapOptions,
-) -> ScheduleOutcome {
-    schedule_from(mdfg, cgra, mode, opts, None)
-}
-
-/// Like [`schedule`] but starting the II search at `start_ii` (used by the
-/// constrained mapper to hold II fixed across spill rounds).
-pub fn schedule_from(
-    mdfg: &MapDfg,
-    cgra: &CgraConfig,
-    mode: MapMode,
-    opts: &MapOptions,
-    start_ii: Option<u32>,
-) -> ScheduleOutcome {
-    schedule_from_traced(mdfg, cgra, mode, opts, start_ii, &Tracer::off())
-}
-
-/// Like [`schedule_from`], emitting the search's decisions — begin,
-/// backtracks, validator evictions, final placements/routes, end — to
-/// `tracer`. With the tracer off this *is* [`schedule_from`]: events are
-/// never constructed.
-pub fn schedule_from_traced(
-    mdfg: &MapDfg,
-    cgra: &CgraConfig,
-    mode: MapMode,
-    opts: &MapOptions,
-    start_ii: Option<u32>,
     tracer: &Tracer,
 ) -> ScheduleOutcome {
     tracer.emit(|| TraceEvent::MapBegin {
@@ -584,14 +534,13 @@ pub fn schedule_from_traced(
         mode: format!("{mode:?}"),
     });
     let mii = mii_with_mem(mdfg, cgra);
-    let lo = start_ii.unwrap_or(mii).max(mii);
     let hi = mii + opts.max_ii_slack;
     let mut stats = FailureStats {
         edge_route_failures: vec![0; mdfg.dfg.num_edges()],
     };
     let heights = cgra_dfg::analysis::heights(&mdfg.dfg);
 
-    for ii in lo..=hi {
+    for ii in mii..=hi {
         let Some(asap) = asap_with_mem(mdfg, ii) else {
             continue;
         };
@@ -675,11 +624,6 @@ pub fn schedule_from_traced(
                         restart,
                         violations: violations.len() as u32,
                     });
-                    if std::env::var_os("CGRA_MAPPER_DEBUG").is_some() {
-                        eprintln!(
-                            "[mapper] ii={ii} restart {restart}: attempt rejected: {violations:?}"
-                        );
-                    }
                 }
                 Err(failed) => {
                     tracer.emit(|| TraceEvent::Backtrack {
@@ -696,10 +640,6 @@ pub fn schedule_from_traced(
             {
                 *a += *b;
             }
-        }
-        if start_ii.is_some() {
-            // Spill-round mode: caller controls the II ladder.
-            break;
         }
     }
     tracer.emit(|| TraceEvent::MapEnd {
@@ -750,7 +690,13 @@ mod tests {
     fn schedules_simple_chain_at_ii_one() {
         let mdfg = chain3();
         let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Baseline, &MapOptions::default());
+        let out = schedule(
+            &mdfg,
+            &cgra,
+            MapMode::Baseline,
+            &MapOptions::default(),
+            &Tracer::off(),
+        );
         let m = out.mapping.expect("chain maps");
         assert_eq!(m.ii, 1);
         assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Baseline).is_empty());
@@ -760,7 +706,13 @@ mod tests {
     fn constrained_schedules_simple_chain() {
         let mdfg = chain3();
         let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Constrained, &MapOptions::default());
+        let out = schedule(
+            &mdfg,
+            &cgra,
+            MapMode::Constrained,
+            &MapOptions::default(),
+            &Tracer::off(),
+        );
         let m = out.mapping.expect("chain maps under constraints");
         assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Constrained).is_empty());
     }
@@ -774,7 +726,13 @@ mod tests {
         b.carried_edge(d, a, 1);
         let mdfg = MapDfg::unspilled(&b.build().unwrap());
         let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Baseline, &MapOptions::default());
+        let out = schedule(
+            &mdfg,
+            &cgra,
+            MapMode::Baseline,
+            &MapOptions::default(),
+            &Tracer::off(),
+        );
         let m = out.mapping.expect("recurrent kernel maps");
         assert!(m.ii >= 3);
         assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Baseline).is_empty());
@@ -791,7 +749,13 @@ mod tests {
         b.apply(OpKind::Store, &[prev]);
         let mdfg = MapDfg::unspilled(&b.build().unwrap());
         let cgra = cgra_arch::CgraConfig::square(4);
-        let out = schedule(&mdfg, &cgra, MapMode::Baseline, &MapOptions::default());
+        let out = schedule(
+            &mdfg,
+            &cgra,
+            MapMode::Baseline,
+            &MapOptions::default(),
+            &Tracer::off(),
+        );
         let m = out.mapping.expect("deep chain maps");
         assert!(m.ii >= 2);
         assert!(validate_mapping(&mdfg, &cgra, &m, MapMode::Baseline).is_empty());

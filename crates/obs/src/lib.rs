@@ -7,7 +7,7 @@
 //!   (place / evict / backtrack / route), the PageMaster transform
 //!   (begin / end with page geometry), and the multithreaded simulator
 //!   (queue / start / shrink / expand / fault / revoke).
-//! * [`sink::TraceSink`] — the sink trait, with ring-buffer
+//! * [`sink::TraceSink`] — the sink trait, with in-memory capture
 //!   ([`sink::RingSink`]), JSONL-writer ([`sink::JsonlSink`]) and
 //!   counting ([`metrics::MetricsSink`]) implementations, plus the
 //!   [`sink::Tracer`] handle that producers thread through their entry

@@ -2,11 +2,9 @@
 //! their entry points.
 
 use crate::event::TraceEvent;
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A consumer of trace events. Implementations must be thread-safe:
@@ -108,33 +106,23 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// An in-memory ring buffer of events. With a capacity, the oldest
-/// events are dropped (and counted) once full; unbounded, it keeps
-/// everything — the capture buffer for tests and [`Tracer::batched`].
+/// An in-memory buffer that keeps every event, in order — the capture
+/// buffer for tests and [`Tracer::batched`].
 pub struct RingSink {
-    capacity: usize,
-    buf: Mutex<VecDeque<TraceEvent>>,
-    dropped: AtomicU64,
+    buf: Mutex<Vec<TraceEvent>>,
 }
 
 impl RingSink {
-    /// A ring keeping at most `capacity` events (0 means unbounded).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            buf: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// A ring that never drops.
+    /// An empty buffer.
     pub fn unbounded() -> Self {
-        RingSink::new(0)
+        RingSink {
+            buf: Mutex::new(Vec::new()),
+        }
     }
 
     /// Take every buffered event, oldest first.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.buf.lock().expect("ring poisoned").drain(..).collect()
+        std::mem::take(&mut *self.buf.lock().expect("ring poisoned"))
     }
 
     /// Number of events currently buffered.
@@ -146,32 +134,15 @@ impl RingSink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Number of events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
 }
 
 impl TraceSink for RingSink {
     fn record(&self, ev: TraceEvent) {
-        let mut buf = self.buf.lock().expect("ring poisoned");
-        if self.capacity > 0 && buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(ev);
+        self.buf.lock().expect("ring poisoned").push(ev);
     }
 
     fn record_batch(&self, evs: Vec<TraceEvent>) {
-        let mut buf = self.buf.lock().expect("ring poisoned");
-        for ev in evs {
-            if self.capacity > 0 && buf.len() == self.capacity {
-                buf.pop_front();
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            buf.push_back(ev);
-        }
+        self.buf.lock().expect("ring poisoned").extend(evs);
     }
 }
 
@@ -259,17 +230,6 @@ mod tests {
         let tracer = Tracer::off();
         assert!(!tracer.is_on());
         tracer.emit(|| unreachable!("disabled tracer must not construct events"));
-    }
-
-    #[test]
-    fn ring_keeps_order_and_drops_oldest() {
-        let ring = RingSink::new(2);
-        ring.record(ev(1));
-        ring.record(ev(2));
-        ring.record(ev(3));
-        assert_eq!(ring.dropped(), 1);
-        assert_eq!(ring.drain(), vec![ev(2), ev(3)]);
-        assert!(ring.is_empty());
     }
 
     #[test]

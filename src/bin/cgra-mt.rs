@@ -129,7 +129,7 @@ fn main() {
             let result = match mode.as_str() {
                 "baseline" => map_baseline(&dfg, &cgra, &opts),
                 "constrained" => map_constrained(&dfg, &cgra, &opts),
-                "strict" => map_constrained_strict(&dfg, &cgra, &opts),
+                "strict" => map_constrained_strict(&dfg, &cgra, &opts, &Tracer::off()),
                 "anneal" => map_anneal(&dfg, &cgra, &opts, &Default::default()),
                 other => fail(&format!("unknown mode '{other}'")),
             }

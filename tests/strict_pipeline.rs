@@ -14,7 +14,7 @@ fn strict_mappings_feed_algorithm_one() {
         // self-hop; the widest kernel (swim) does not fit a 4x4 under it.
         // The paper never claims it does — its Fig. 8 uses the relaxed
         // register-file discipline; strict is the Algorithm 1 input form.
-        let Ok(mapped) = map_constrained_strict(&kernel, &cgra, &opts) else {
+        let Ok(mapped) = map_constrained_strict(&kernel, &cgra, &opts, &Tracer::off()) else {
             continue;
         };
         covered += 1;
@@ -55,8 +55,8 @@ fn strict_schedules_execute_correctly() {
     let iters = 8;
     for name in ["mpeg2", "sor", "laplace", "compress", "fir"] {
         let kernel = cgra_mt::dfg::kernels::by_name(name).unwrap();
-        let mapped =
-            map_constrained_strict(&kernel, &cgra, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mapped = map_constrained_strict(&kernel, &cgra, &opts, &Tracer::off())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         let inputs = InputStreams::random(&kernel, iters, 0x57);
         let golden = interpret(&kernel, &inputs, iters).unwrap();
         let sched = MachineSchedule::from_mapping(&mapped.mapping);
@@ -81,7 +81,7 @@ fn strict_costs_more_than_stable() {
         let Ok(stable) = map_constrained(&kernel, &cgra, &opts) else {
             continue;
         };
-        let Ok(strict) = map_constrained_strict(&kernel, &cgra, &opts) else {
+        let Ok(strict) = map_constrained_strict(&kernel, &cgra, &opts, &Tracer::off()) else {
             continue;
         };
         total += 1;
