@@ -29,15 +29,30 @@ impl CgraConfig {
     /// PEs, one bus per row, and 2×2 pages (page size 4).
     ///
     /// # Panics
-    /// Panics if `n` is odd (2×2 pages must tile the mesh); use
+    /// Panics if `n` is zero or odd (2×2 pages must tile the mesh); use
+    /// [`CgraConfig::try_square`] for user-supplied sizes and
     /// [`CgraConfig::new`] for exotic dimensions.
     pub fn square(n: u16) -> Self {
-        CgraConfig::new(
-            Mesh::new(n, n),
-            PageShape::for_size(Mesh::new(n, n), 4)
-                .expect("square() requires even n so 2x2 pages tile the mesh; use CgraConfig::new"),
-        )
-        .expect("2x2 shape validated above")
+        Self::try_square(n.into(), 4)
+            .unwrap_or_else(|e| panic!("square({n}): {e}; use CgraConfig::new"))
+    }
+
+    /// [`square(dim)`](Self::square) with `page_size`-PE pages: the
+    /// fallible constructor for fabric sizes that come from a user.
+    ///
+    /// # Errors
+    /// [`LayoutError::BadMesh`] if the mesh is empty or too large for
+    /// [`PeId`](crate::PeId); [`LayoutError::DoesNotTile`] if `dim` is odd
+    /// (the 2×2 default does not tile) or `page_size` does not tile it.
+    pub fn try_square(dim: usize, page_size: usize) -> Result<Self, LayoutError> {
+        let side = u16::try_from(dim)
+            .ok()
+            .filter(|&s| s > 0 && u32::from(s) * u32::from(s) <= u32::from(u16::MAX))
+            .ok_or(LayoutError::BadMesh {
+                rows: dim,
+                cols: dim,
+            })?;
+        CgraConfig::new(Mesh::new(side, side), PageShape::new(2, 2))?.with_page_size(page_size)
     }
 
     /// Build a config from a mesh and page shape.
@@ -56,11 +71,7 @@ impl CgraConfig {
 
     /// Replace the page division by one with `size` PEs per page.
     pub fn with_page_size(self, size: usize) -> Result<Self, LayoutError> {
-        let shape = PageShape::for_size(self.mesh, size).ok_or(LayoutError::DoesNotTile {
-            mesh: self.mesh,
-            shape: PageShape::new(1, size.max(1) as u16),
-        })?;
-        let layout = PageLayout::new(self.mesh, shape)?;
+        let layout = PageLayout::for_size(self.mesh, size)?;
         Ok(CgraConfig { layout, ..self })
     }
 
@@ -147,26 +158,6 @@ impl CgraConfig {
         eat(self.mem.scratch_words() as u64);
         h
     }
-
-    /// The experimental grid from §VII-A: every (CGRA size, page size)
-    /// combination the paper evaluates. The 6×6 "page size 8" point is
-    /// substituted with 3×3 pages (size 9) as 8 does not divide 36; the
-    /// substitution is recorded in DESIGN.md.
-    pub fn paper_grid() -> Vec<CgraConfig> {
-        let mut grid = Vec::new();
-        for (dim, sizes) in [
-            (4u16, &[2usize, 4, 8][..]),
-            (6, &[2, 4, 9]),
-            (8, &[2, 4, 8]),
-        ] {
-            for &s in sizes {
-                let mesh = Mesh::new(dim, dim);
-                let shape = PageShape::for_size(mesh, s).expect("paper grid shapes tile");
-                grid.push(CgraConfig::new(mesh, shape).expect("paper grid layouts valid"));
-            }
-        }
-        grid
-    }
 }
 
 #[cfg(test)]
@@ -192,6 +183,31 @@ mod tests {
     }
 
     #[test]
+    fn try_square_rejects_bad_fabrics_typed() {
+        for dim in [0, 256, 65_535, 70_000] {
+            assert!(
+                matches!(
+                    CgraConfig::try_square(dim, 4),
+                    Err(LayoutError::BadMesh { .. })
+                ),
+                "{dim}"
+            );
+        }
+        for (dim, page) in [(1, 4), (3, 4), (4, 3), (4, 0), (6, 8)] {
+            assert!(
+                matches!(
+                    CgraConfig::try_square(dim, page),
+                    Err(LayoutError::DoesNotTile { .. })
+                ),
+                "{dim} {page}"
+            );
+        }
+        let c = CgraConfig::try_square(8, 2).unwrap();
+        assert_eq!(c, CgraConfig::square(8).with_page_size(2).unwrap());
+        assert!(CgraConfig::try_square(254, 4).is_ok());
+    }
+
+    #[test]
     fn rf_defaults_cover_page_count() {
         // §VI-E: N rotating registers per PE where N = number of pages.
         let c = CgraConfig::square(8).with_page_size(2).unwrap();
@@ -200,13 +216,6 @@ mod tests {
         let pages = c.layout().num_pages() as u16;
         let c = c.with_rf_size(pages);
         assert!(c.rf().size() as usize >= c.layout().num_pages());
-    }
-
-    #[test]
-    fn paper_grid_has_nine_points() {
-        let grid = CgraConfig::paper_grid();
-        assert_eq!(grid.len(), 9);
-        assert!(grid.iter().all(|c| c.layout().ring_path_is_physical()));
     }
 
     #[test]

@@ -96,6 +96,13 @@ pub enum LayoutError {
         /// The offending shape.
         shape: PageShape,
     },
+    /// The mesh is empty or has more PEs than a [`PeId`] can name.
+    BadMesh {
+        /// Requested rows.
+        rows: usize,
+        /// Requested columns.
+        cols: usize,
+    },
 }
 
 impl std::fmt::Display for LayoutError {
@@ -108,6 +115,11 @@ impl std::fmt::Display for LayoutError {
                 shape.w,
                 mesh.rows(),
                 mesh.cols()
+            ),
+            LayoutError::BadMesh { rows, cols } => write!(
+                f,
+                "a {rows}x{cols} mesh must have between 1 and {} PEs",
+                u16::MAX
             ),
         }
     }

@@ -1,18 +1,21 @@
 //! `cgra-lint` — static analysis of the whole compilation pipeline.
 //!
-//! Rebuilds every artifact (baseline + constrained mappings, paged
-//! schedule, halving-chain shrink plans, one-dead-page degradation,
-//! kernel profile) for every kernel and analyzes each one with
-//! `cgra-analyze`. Exits 1 if any artifact carries an error diagnostic.
+//! Compiles every kernel once through `cgra_bench::compile` and analyzes
+//! each artifact it returns (baseline + constrained mappings, paged
+//! schedule, halving-chain shrink plans, kernel profile), plus a
+//! one-dead-page degradation, with `cgra-analyze`. Exits 1 if any
+//! artifact carries an error diagnostic, and 2 on a usage error
+//! (including a fabric `--dim`/`--page` cannot build).
 //!
 //! Usage: `cargo run -p cgra-bench --bin cgra-lint --release [-- FLAGS]`
 //!
 //! Flags:
-//!   --dim N    fabric side length (default 4)
+//!   --dim N    fabric side length (default 4; even, at most 254)
 //!   --page S   page size in PEs (default 4)
 //!   --grid     lint every configuration of the paper grid instead
 //!   --json     emit the findings as one JSON document
 
+use cgra_arch::CgraConfig;
 use cgra_bench::lint;
 
 fn arg_value(args: &[String], flag: &str) -> Option<usize> {
@@ -29,11 +32,18 @@ fn arg_value(args: &[String], flag: &str) -> Option<usize> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dim = arg_value(&args, "--dim").unwrap_or(4) as u16;
+    let dim = arg_value(&args, "--dim").unwrap_or(4);
     let page = arg_value(&args, "--page").unwrap_or(4);
-    let grid = args.iter().any(|a| a == "--grid");
 
-    let findings = lint::lint(dim, page, grid);
+    let findings = if args.iter().any(|a| a == "--grid") {
+        lint::lint_grid()
+    } else {
+        let cgra = CgraConfig::try_square(dim, page).unwrap_or_else(|e| {
+            eprintln!("error: bad fabric: {e}");
+            std::process::exit(2);
+        });
+        lint::lint_config(&cgra)
+    };
     let (text, errors) = lint::render(&findings);
     if args.iter().any(|a| a == "--json") {
         println!("{}", lint::render_json(&findings));

@@ -4,6 +4,9 @@
 //! (§VII), shared by the `fig8`, `fig9` and `report` binaries and the
 //! in-repo benches:
 //!
+//! * [`compile`] — one kernel's offline compile: every artifact of the
+//!   pipeline plus the profile the runtime reads, and the one analyzer
+//!   walk over them.
 //! * [`engine`] — the parallel sweep engine (`--jobs N`), with the
 //!   byte-identical-output determinism contract.
 //! * [`fig8`] — Figure 8(a–c): per-kernel performance of the
@@ -28,6 +31,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod compile;
 pub mod engine;
 pub mod fig8;
 pub mod fig9;
@@ -50,10 +54,9 @@ pub const GRID: [(u16, &[usize]); 3] = [(4, &[2, 4, 8]), (6, &[2, 4, 9]), (8, &[
 /// The `dim × dim` fabric with `page_size`-PE pages.
 ///
 /// # Panics
-/// Panics if `page_size` does not tile the mesh.
+/// Panics if [`CgraConfig::try_square`] cannot build it.
 pub fn cgra(dim: u16, page_size: usize) -> CgraConfig {
-    CgraConfig::square(dim)
-        .with_page_size(page_size)
+    CgraConfig::try_square(dim.into(), page_size)
         .unwrap_or_else(|e| panic!("{dim}x{dim} page {page_size}: {e}"))
 }
 

@@ -1,25 +1,30 @@
 //! `cgra-lint` — run the whole-pipeline static analyzer over every
 //! kernel and every artifact the compilation pipeline produces.
 //!
-//! For each `(fabric, kernel)` pair the linter rebuilds the full
-//! pipeline — baseline mapping, ring-constrained mapping, extracted
-//! page-level schedule, every halving-chain shrink plan, a one-dead-page
-//! degradation, and the assembled kernel profile — and hands each
-//! artifact to `cgra-analyze`. Every artifact yields one labeled
-//! [`Report`]; an error diagnostic anywhere is a pipeline bug (or a
-//! genuinely unmappable kernel, which the mapper reports separately).
+//! For each `(fabric, kernel)` pair the linter compiles the kernel once
+//! with [`compile`](crate::compile::compile), analyzes every artifact it
+//! returns through [`Compiled::analyze`](crate::compile::Compiled::analyze)
+//! — baseline mapping, ring-constrained mapping, extracted page-level
+//! schedule, every halving-chain shrink plan and the assembled kernel
+//! profile — and adds one artifact of its own, a one-dead-page
+//! degradation of the paged schedule. Every artifact yields one labeled
+//! [`Report`]; an error diagnostic anywhere is a pipeline bug.
+//!
+//! A kernel whose compile fails (the mapper cannot place it, or
+//! extraction or a transform fails) is skipped whole: the error is the
+//! compiler's own diagnostic channel, and none of its artifacts is
+//! linted. Every benchmark kernel compiles on every grid fabric and on
+//! the 2×2 and 10×10 fabrics, so no lint output depends on this.
 //!
 //! Used by the `cgra-lint` binary and the `analyze-smoke` CI job; the
 //! figure binaries run the same passes under `--analyze`.
 
-use cgra_analyze::{
-    analyze_degraded, analyze_mapping, analyze_paged, analyze_plan, analyze_profile, Report,
-};
+use crate::compile::compile;
+use cgra_analyze::{analyze_degraded, Report};
 use cgra_arch::{CgraConfig, FaultMap, PageHealth};
-use cgra_core::transform::{transform, Strategy};
-use cgra_core::{transform_degraded, PagedSchedule};
-use cgra_mapper::{map_baseline, map_constrained, MapOptions};
-use cgra_sim::halving_chain;
+use cgra_core::transform_degraded;
+use cgra_mapper::MapOptions;
+use cgra_obs::Tracer;
 
 /// One analyzed artifact: where it came from and what the analyzer said.
 pub struct LintFinding {
@@ -34,112 +39,45 @@ pub struct LintFinding {
     pub report: Report,
 }
 
-/// Lint every kernel on one fabric. Kernels the mapper itself cannot
-/// place are skipped (the mapper's error is its own diagnostic channel);
-/// everything the pipeline *did* produce must analyze clean.
-pub fn lint_config(dim: u16, page_size: usize) -> Vec<LintFinding> {
-    let cgra = CgraConfig::square(dim)
-        .with_page_size(page_size)
-        .unwrap_or_else(|e| panic!("{dim}x{dim} page {page_size}: {e}"));
-    let opts = MapOptions::default();
-    let n = cgra.layout().num_pages() as u16;
+/// Lint every kernel on one square fabric (a user-supplied size comes
+/// from [`CgraConfig::try_square`]); findings name it by mesh side and
+/// page size.
+pub fn lint_config(cgra: &CgraConfig) -> Vec<LintFinding> {
+    let config = (cgra.mesh().rows(), cgra.layout().shape().size());
     let mut out = Vec::new();
-    let mut push = |kernel: &str, artifact: &str, report: Report| {
-        out.push(LintFinding {
-            config: (dim, page_size),
-            kernel: kernel.to_string(),
-            artifact: artifact.to_string(),
-            report,
-        });
-    };
-
     for dfg in cgra_dfg::kernels::all() {
-        let name = dfg.name.clone();
-
-        let Ok(base) = map_baseline(&dfg, &cgra, &opts) else {
+        let Ok(c) = compile(&dfg, cgra, &MapOptions::default(), &Tracer::off()) else {
             continue;
         };
-        push(
-            &name,
-            "baseline-mapping",
-            analyze_mapping(&base.mdfg, &cgra, &base.mapping, base.mode),
-        );
-
-        let Ok(cons) = map_constrained(&dfg, &cgra, &opts) else {
-            continue;
-        };
-        push(
-            &name,
-            "constrained-mapping",
-            analyze_mapping(&cons.mdfg, &cgra, &cons.mapping, cons.mode),
-        );
-
-        let Ok(paged) = PagedSchedule::from_mapping(&cons, &cgra) else {
-            continue;
-        };
-        let paged = paged.trimmed();
-        push(
-            &name,
-            "paged-schedule",
-            analyze_paged(&paged, cgra.rf().size()),
-        );
-
-        let used = paged.num_pages;
-        let mut ii_by_pages = Vec::new();
-        let mut transforms_ok = true;
-        for m in halving_chain(n) {
-            if m >= used {
-                ii_by_pages.push((m, cons.ii()));
-                continue;
-            }
-            match transform(&paged, m, Strategy::Auto) {
-                Ok(plan) => {
-                    push(&name, &format!("plan-m{m}"), analyze_plan(&paged, &plan));
-                    ii_by_pages.push((m, plan.ii_q_ceil()));
-                }
-                Err(_) => {
-                    transforms_ok = false;
-                    break;
-                }
-            }
-        }
-        if transforms_ok {
-            push(
-                &name,
-                "profile",
-                analyze_profile(&name, base.ii(), cons.ii(), used, &ii_by_pages, n),
-            );
-        }
-
+        let mut reports = c.analyze(cgra);
         // One dead page at the far end of the schedule's footprint: the
         // canonical survivable degradation.
+        let used = c.paged.num_pages;
         if used >= 2 {
             let mut faults = FaultMap::new(used);
             faults.mark_page(0, PageHealth::Dead);
-            if let Ok(d) = transform_degraded(&paged, &faults, used) {
-                push(
-                    &name,
-                    "degraded-dead0",
-                    analyze_degraded(&paged, &d, &faults),
-                );
+            if let Ok(d) = transform_degraded(&c.paged, &faults, used) {
+                let report = analyze_degraded(&c.paged, &d, &faults);
+                reports.push(("degraded-dead0".to_string(), report));
             }
         }
+        out.extend(reports.into_iter().map(|(artifact, report)| LintFinding {
+            config,
+            kernel: dfg.name.clone(),
+            artifact,
+            report,
+        }));
     }
     out
 }
 
-/// Lint one or all grid configurations; `grid = false` lints only
-/// `(dim, page_size)`.
-pub fn lint(dim: u16, page_size: usize, grid: bool) -> Vec<LintFinding> {
-    if grid {
-        crate::GRID
-            .iter()
-            .flat_map(|&(d, sizes)| sizes.iter().map(move |&s| (d, s)))
-            .flat_map(|(d, s)| lint_config(d, s))
-            .collect()
-    } else {
-        lint_config(dim, page_size)
-    }
+/// Lint every configuration of the paper grid ([`crate::GRID`]).
+pub fn lint_grid() -> Vec<LintFinding> {
+    crate::GRID
+        .iter()
+        .flat_map(|&(d, sizes)| sizes.iter().map(move |&s| (d, s)))
+        .flat_map(|(d, s)| lint_config(&crate::cgra(d, s)))
+        .collect()
 }
 
 /// Render findings for humans: every non-clean artifact in full, then a
@@ -199,7 +137,7 @@ pub fn render_json(findings: &[LintFinding]) -> String {
 /// print the human rendering to **stderr** (stdout stays
 /// byte-deterministic), and report whether any artifact had errors.
 pub fn analyze_grid_to_stderr() -> bool {
-    let findings = lint(4, 4, true);
+    let findings = lint_grid();
     let (text, errors) = render(&findings);
     eprint!("analyze: {text}");
     errors > 0

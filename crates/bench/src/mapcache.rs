@@ -210,9 +210,8 @@ impl MapCache {
     /// at most once per process per key.
     ///
     /// # Panics
-    /// Panics if the kernel fails to map (same contract as
-    /// [`KernelProfile::compile`]'s callers in the sweeps: the benchmark
-    /// suite is expected to map on every grid fabric).
+    /// Panics if the kernel fails to compile (the benchmark suite is
+    /// expected to compile on every grid fabric).
     pub fn profile(&self, dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions) -> Arc<KernelProfile> {
         let key = Key {
             kernel: dfg.name.clone(),
@@ -324,8 +323,9 @@ fn compile(dfg: &Dfg, cgra: &CgraConfig, opts: &MapOptions, tracer: &Tracer) -> 
     // Batched so concurrent misses interleave at whole-profile
     // granularity in a shared sink, never event-by-event.
     tracer.batched(|t| {
-        KernelProfile::compile(dfg, cgra, opts, t)
+        crate::compile::compile(dfg, cgra, opts, t)
             .unwrap_or_else(|e| panic!("profile {} on {:?}: {e}", dfg.name, cgra))
+            .profile
     })
 }
 
@@ -641,7 +641,9 @@ mod tests {
         ];
         for (i, fabric) in others.iter().enumerate() {
             let cached = cache.profile(&k, fabric, &opts);
-            let fresh = KernelProfile::compile(&k, fabric, &opts, &Tracer::off()).unwrap();
+            let fresh = crate::compile::compile(&k, fabric, &opts, &Tracer::off())
+                .unwrap()
+                .profile;
             assert_eq!(*cached, fresh, "{fabric:?}");
             assert_eq!(cache.stats().mem_hits, 0, "{fabric:?}");
             assert_eq!(cache.stats().misses, i as u64 + 2);

@@ -15,11 +15,10 @@
 //! and review the diff like any other code change.
 
 use cgra_arch::{CgraConfig, FaultEvent, FaultKind};
+use cgra_bench::compile::compile;
 use cgra_mapper::MapOptions;
 use cgra_obs::{check_trace, RingSink, TraceEvent, Tracer};
-use cgra_sim::{
-    simulate_multithreaded, KernelLibrary, KernelProfile, MtConfig, Segment, ThreadSpec,
-};
+use cgra_sim::{simulate_multithreaded, KernelLibrary, MtConfig, Segment, ThreadSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -36,13 +35,14 @@ fn capture() -> Vec<TraceEvent> {
     let tracer = Tracer::new(sink.clone());
 
     let cgra = CgraConfig::square(4);
-    let profile = KernelProfile::compile(
+    let profile = compile(
         &cgra_dfg::kernels::fir(),
         &cgra,
         &MapOptions::default(),
         &tracer,
     )
-    .expect("fir compiles on the 4x4");
+    .expect("fir compiles on the 4x4")
+    .profile;
     let lib = KernelLibrary {
         profiles: vec![profile],
         num_pages: cgra.layout().num_pages() as u16,

@@ -73,79 +73,3 @@ pub fn simulate_baseline(lib: &KernelLibrary, threads: &[ThreadSpec]) -> SimRepo
         faults: Default::default(),
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::workload::{generate, WorkloadParams};
-    use cgra_mapper::MapOptions;
-
-    fn lib() -> KernelLibrary {
-        KernelLibrary::compile_benchmarks(
-            &cgra_arch::CgraConfig::square(4),
-            &MapOptions::default(),
-            &cgra_obs::Tracer::off(),
-        )
-        .expect("library compiles")
-    }
-
-    #[test]
-    fn single_thread_runs_back_to_back() {
-        let lib = lib();
-        let spec = ThreadSpec {
-            segments: vec![
-                Segment::Cpu(100),
-                Segment::Cgra {
-                    kernel: 0,
-                    iterations: 10,
-                },
-            ],
-        };
-        let r = simulate_baseline(&lib, &[spec]);
-        let ii = lib.profile(0).ii_baseline as u64;
-        assert_eq!(r.makespan, 100 + 10 * ii);
-        assert_eq!(r.stall_cycles, 0);
-        assert_eq!(r.cgra_iterations, 10);
-    }
-
-    #[test]
-    fn two_threads_serialize_on_the_cgra() {
-        let lib = lib();
-        let seg = Segment::Cgra {
-            kernel: 0,
-            iterations: 100,
-        };
-        let spec = ThreadSpec {
-            segments: vec![seg],
-        };
-        let r = simulate_baseline(&lib, &[spec.clone(), spec]);
-        let ii = lib.profile(0).ii_baseline as u64;
-        assert_eq!(r.makespan, 200 * ii);
-        assert_eq!(r.stall_cycles, 100 * ii);
-    }
-
-    #[test]
-    fn cpu_segments_overlap_cgra_use() {
-        let lib = lib();
-        let ii = lib.profile(0).ii_baseline as u64;
-        let a = ThreadSpec {
-            segments: vec![Segment::Cgra {
-                kernel: 0,
-                iterations: 100,
-            }],
-        };
-        let b = ThreadSpec {
-            segments: vec![Segment::Cpu(100 * ii)],
-        };
-        let r = simulate_baseline(&lib, &[a, b]);
-        // Thread b's CPU work fully overlaps thread a's CGRA work.
-        assert_eq!(r.makespan, 100 * ii);
-    }
-
-    #[test]
-    fn deterministic() {
-        let lib = lib();
-        let w = generate(&lib, &WorkloadParams::default());
-        assert_eq!(simulate_baseline(&lib, &w), simulate_baseline(&lib, &w));
-    }
-}

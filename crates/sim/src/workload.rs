@@ -173,83 +173,11 @@ pub fn generate(lib: &KernelLibrary, params: &WorkloadParams) -> Vec<ThreadSpec>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgra_mapper::MapOptions;
-
-    fn lib() -> KernelLibrary {
-        KernelLibrary::compile_benchmarks(
-            &cgra_arch::CgraConfig::square(4),
-            &MapOptions::default(),
-            &cgra_obs::Tracer::off(),
-        )
-        .expect("library compiles")
-    }
 
     #[test]
     fn need_fractions() {
         assert_eq!(CgraNeed::Low.fraction(), 0.5);
         assert_eq!(CgraNeed::Medium.fraction(), 0.75);
         assert_eq!(CgraNeed::High.fraction(), 0.875);
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let lib = lib();
-        let p = WorkloadParams::default();
-        assert_eq!(generate(&lib, &p), generate(&lib, &p));
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let lib = lib();
-        let a = generate(&lib, &WorkloadParams::default());
-        let b = generate(
-            &lib,
-            &WorkloadParams {
-                seed: 2,
-                ..Default::default()
-            },
-        );
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn need_fraction_is_respected() {
-        let lib = lib();
-        for need in CgraNeed::ALL {
-            let threads = generate(
-                &lib,
-                &WorkloadParams {
-                    need,
-                    threads: 8,
-                    work_per_thread: 200_000,
-                    ..Default::default()
-                },
-            );
-            for t in &threads {
-                let cgra = t.nominal_cgra_cycles(&lib) as f64;
-                let total = cgra + t.cpu_cycles() as f64;
-                let f = cgra / total;
-                assert!(
-                    (f - need.fraction()).abs() < 0.1,
-                    "need {need:?}: got fraction {f}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn segments_alternate_and_have_work() {
-        let lib = lib();
-        let threads = generate(&lib, &WorkloadParams::default());
-        for t in &threads {
-            assert!(!t.segments.is_empty());
-            assert!(t.segments.iter().any(|s| matches!(s, Segment::Cgra { .. })));
-            for s in &t.segments {
-                match s {
-                    Segment::Cpu(c) => assert!(*c > 0),
-                    Segment::Cgra { iterations, .. } => assert!(*iterations > 0),
-                }
-            }
-        }
     }
 }

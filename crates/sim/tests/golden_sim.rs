@@ -24,6 +24,7 @@
 //! and review the diff like any other code change.
 
 use cgra_arch::{CgraConfig, FaultSpec};
+use cgra_bench::mapcache::MapCache;
 use cgra_mapper::MapOptions;
 use cgra_obs::{RingSink, TraceEvent, Tracer};
 use cgra_sim::{
@@ -44,12 +45,11 @@ const FAULTS: [&str; 3] = [
     "mtbf=10000,count=6,degrade",
 ];
 
-fn library() -> KernelLibrary {
+fn library() -> Arc<KernelLibrary> {
     let cgra = CgraConfig::square(6)
         .with_page_size(2)
         .expect("6x6 tiles into pages of 2");
-    KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
-        .expect("library compiles")
+    MapCache::in_memory().library(&cgra, &MapOptions::default())
 }
 
 /// FNV-1a over the `Debug` rendering of every event: a compact pin on

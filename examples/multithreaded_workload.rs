@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example multithreaded_workload [dim]`
 
+use cgra_bench::mapcache::MapCache;
 use cgra_mt::prelude::*;
 
 fn main() {
@@ -16,8 +17,7 @@ fn main() {
         "Compiling the 11-kernel library for a {dim}x{dim} CGRA ({} pages)...\n",
         cgra.layout().num_pages()
     );
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
-        .expect("library");
+    let lib = MapCache::in_memory().library(&cgra, &MapOptions::default());
 
     println!("kernel    footprint(pages)  II(full)  II(half)  II(1 page)");
     let n = lib.num_pages;

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use cgra_bench::mapcache::MapCache;
 use cgra_mt::prelude::*;
 
 fn main() {
@@ -77,7 +78,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 5. System view: 4 threads sharing the CGRA (Fig. 9 in miniature).
     // ------------------------------------------------------------------
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &opts, &Tracer::off()).expect("library");
+    let lib = MapCache::in_memory().library(&cgra, &opts);
     let workload = generate(
         &lib,
         &WorkloadParams {

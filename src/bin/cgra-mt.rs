@@ -60,10 +60,7 @@ impl Args {
 }
 
 fn fabric(args: &Args) -> CgraConfig {
-    let dim: u16 = args.num("cgra", 4);
-    let page: usize = args.num("page-size", 4);
-    CgraConfig::square(dim)
-        .with_page_size(page)
+    CgraConfig::try_square(args.num("cgra", 4), args.num("page-size", 4))
         .unwrap_or_else(|e| fail(&format!("bad fabric: {e}")))
         .with_rf_size(args.num("rf", 32))
 }
@@ -195,6 +192,9 @@ fn main() {
             let dfg = load(&args);
             let cgra = fabric(&args);
             let iters: usize = args.num("iters", 16);
+            if iters == 0 {
+                fail("--iters must be at least 1");
+            }
             let mapped = map_constrained(&dfg, &cgra, &MapOptions::default())
                 .unwrap_or_else(|e| fail(&format!("mapping failed: {e}")));
             let inputs = InputStreams::random(&dfg, iters, args.num("seed", 0u64));

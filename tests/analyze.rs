@@ -1,82 +1,9 @@
-//! End-to-end analyzer gate: every artifact the pipeline produces for
-//! every kernel in the suite must analyze clean, in both the
-//! unconstrained baseline mode and the paper's ring-constrained mode.
-//! This is the library-level twin of the `cgra-lint` binary.
+//! The analyzer gate has teeth: a seeded break in an otherwise valid
+//! artifact must not analyze clean. That every artifact the pipeline
+//! produces for every kernel analyzes clean is pinned by the `cgra-lint`
+//! golden (`crates/bench/tests/golden_lint.rs`).
 
 use cgra_mt::prelude::*;
-
-/// Map every kernel both ways on the paper's default fabric and hand
-/// each mapping to the independent analyzer.
-#[test]
-fn all_kernels_analyze_clean_in_both_modes() {
-    let cgra = CgraConfig::square(4);
-    let opts = MapOptions::default();
-    for dfg in cgra_mt::dfg::kernels::all() {
-        let base = map_baseline(&dfg, &cgra, &opts)
-            .unwrap_or_else(|e| panic!("{}: baseline map failed: {e}", dfg.name));
-        let rep = analyze_mapping(&base.mdfg, &cgra, &base.mapping, base.mode);
-        assert!(
-            !rep.has_errors(),
-            "{} baseline mapping:\n{}",
-            dfg.name,
-            rep.render()
-        );
-
-        let cons = map_constrained(&dfg, &cgra, &opts)
-            .unwrap_or_else(|e| panic!("{}: constrained map failed: {e}", dfg.name));
-        let rep = analyze_mapping(&cons.mdfg, &cgra, &cons.mapping, cons.mode);
-        assert!(
-            !rep.has_errors(),
-            "{} constrained mapping:\n{}",
-            dfg.name,
-            rep.render()
-        );
-
-        let paged = PagedSchedule::from_mapping(&cons, &cgra)
-            .unwrap_or_else(|e| panic!("{}: paged extraction failed: {e}", dfg.name))
-            .trimmed();
-        let rep = analyze_paged(&paged, cgra.rf().size());
-        assert!(
-            !rep.has_errors(),
-            "{} paged schedule:\n{}",
-            dfg.name,
-            rep.render()
-        );
-    }
-}
-
-/// Every halving-chain shrink of every kernel must also analyze clean —
-/// the transform's output is audited by code that shares none of its
-/// logic.
-#[test]
-fn all_shrink_plans_analyze_clean() {
-    let cgra = CgraConfig::square(4);
-    let opts = MapOptions::default();
-    let n = cgra.layout().num_pages() as u16;
-    for dfg in cgra_mt::dfg::kernels::all() {
-        let Ok(cons) = map_constrained(&dfg, &cgra, &opts) else {
-            continue;
-        };
-        let Ok(paged) = PagedSchedule::from_mapping(&cons, &cgra) else {
-            continue;
-        };
-        let paged = paged.trimmed();
-        for m in cgra_mt::sim::halving_chain(n) {
-            if m >= paged.num_pages {
-                continue;
-            }
-            let plan = transform(&paged, m, Strategy::Auto)
-                .unwrap_or_else(|e| panic!("{} at M={m}: {e}", dfg.name));
-            let rep = analyze_plan(&paged, &plan);
-            assert!(
-                !rep.has_errors(),
-                "{} plan at M={m}:\n{}",
-                dfg.name,
-                rep.render()
-            );
-        }
-    }
-}
 
 /// A seeded mutation must *not* analyze clean — the gate has teeth.
 #[test]

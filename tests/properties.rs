@@ -9,6 +9,7 @@
 //! `continue` plays the role of `prop_assume!` — cases that don't satisfy
 //! the precondition are skipped, not failed.
 
+use cgra_bench::mapcache::MapCache;
 use cgra_mt::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -334,8 +335,7 @@ fn allocator_expand_respects_want_caps() {
 #[test]
 fn simulator_agrees_with_hand_computation() {
     let cgra = CgraConfig::square(4);
-    let lib =
-        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
+    let lib = MapCache::in_memory().library(&cgra, &MapOptions::default());
     // One thread, one segment: both systems compute exactly.
     let spec = cgra_mt::sim::ThreadSpec {
         segments: vec![cgra_mt::sim::Segment::Cgra {
@@ -354,8 +354,7 @@ fn simulator_agrees_with_hand_computation() {
 fn multithreaded_never_stalls_forever() {
     // 16 threads on the tiny 4x4: stalls happen, but everything finishes.
     let cgra = CgraConfig::square(4);
-    let lib =
-        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
+    let lib = MapCache::in_memory().library(&cgra, &MapOptions::default());
     let w = generate(
         &lib,
         &WorkloadParams {

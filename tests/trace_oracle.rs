@@ -5,10 +5,11 @@
 //! check (ownership exclusivity, no allocation on dead pages, cycle
 //! accounting consistent with the reported makespan).
 
+use cgra_bench::mapcache::MapCache;
 use cgra_mt::arch::{CgraConfig, FaultKind, FaultSpec};
 use cgra_mt::mapper::MapOptions;
 use cgra_mt::obs::{check_trace, RingSink, TraceEvent, Tracer};
-use cgra_mt::sim::{simulate_multithreaded, KernelLibrary, MtConfig, Segment, ThreadSpec};
+use cgra_mt::sim::{simulate_multithreaded, MtConfig, Segment, ThreadSpec};
 use std::sync::Arc;
 
 #[test]
@@ -20,8 +21,9 @@ fn oracle_passes_on_all_benchmark_kernels_and_a_faulty_run() {
     // Compile all 11 benchmark kernels with full tracing: one
     // MapBegin/MapEnd segment per mapper search (two per kernel —
     // baseline and constrained), plus the halving-chain transforms.
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &tracer)
-        .expect("benchmark suite compiles on the 4x4");
+    let lib = MapCache::in_memory()
+        .traced(tracer.clone())
+        .library(&cgra, &MapOptions::default());
     assert_eq!(lib.len(), cgra_mt::dfg::kernels::all().len());
 
     // One traced single-thread run per kernel.
@@ -87,8 +89,7 @@ fn repair_counters_are_consistent_with_the_trace() {
     let sink = Arc::new(RingSink::unbounded());
     let tracer = Tracer::new(sink.clone());
     let cgra = CgraConfig::square(4);
-    let lib = KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off())
-        .expect("benchmark suite compiles on the 4x4");
+    let lib = MapCache::in_memory().library(&cgra, &MapOptions::default());
 
     let faults = FaultSpec::Mtbf {
         mean: 3_000,
@@ -142,12 +143,9 @@ fn disabled_tracer_emits_nothing_and_changes_nothing() {
     // bit.
     let cgra = CgraConfig::square(4);
     let sink = Arc::new(RingSink::unbounded());
-    let lib = KernelLibrary::compile_benchmarks(
-        &cgra,
-        &MapOptions::default(),
-        &Tracer::new(sink.clone()),
-    )
-    .unwrap();
+    let lib = MapCache::in_memory()
+        .traced(Tracer::new(sink.clone()))
+        .library(&cgra, &MapOptions::default());
     let spec = || ThreadSpec {
         segments: vec![Segment::Cgra {
             kernel: 0,
@@ -162,7 +160,6 @@ fn disabled_tracer_emits_nothing_and_changes_nothing() {
     assert_eq!(run(&Tracer::off()), traced);
 
     // And compiling with an off tracer produces the identical library.
-    let relib =
-        KernelLibrary::compile_benchmarks(&cgra, &MapOptions::default(), &Tracer::off()).unwrap();
+    let relib = MapCache::in_memory().library(&cgra, &MapOptions::default());
     assert_eq!(lib, relib);
 }
