@@ -184,7 +184,7 @@ pub struct FaultEvent {
 /// * `mtbf=<mean>,count=<n>[,seed=<s>][,degrade]` — `n` faults with
 ///   exponentially distributed inter-arrival times of mean `mean`
 ///   cycles, striking uniformly random pages; fully determined by `s`
-///   (default 0)
+///   (default 0); `n` is at most [`FaultSpec::MAX_COUNT`]
 /// * either form may append `mttr=<cycles>` to make the faults
 ///   transient: a struck page begins repair `cycles` after the strike
 ///   and returns to the free pool once repaired (incompatible with
@@ -208,7 +208,8 @@ pub enum FaultSpec {
     Mtbf {
         /// Mean cycles between faults.
         mean: u64,
-        /// Number of faults drawn.
+        /// Number of faults drawn (a parsed spec keeps it at most
+        /// [`FaultSpec::MAX_COUNT`]).
         count: u32,
         /// Stream seed; the schedule is a pure function of
         /// `(mean, count, seed, num_pages)`.
@@ -329,6 +330,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl FaultSpec {
+    /// The largest `count` a parsed `mtbf=` spec may ask for.
+    /// [`FaultSpec::schedule`] materialises every event up front, so an
+    /// unbounded count would let one command-line flag request gigabytes.
+    pub const MAX_COUNT: u32 = 65_536;
+
     /// Parse a `--faults` spec string (see the type-level grammar).
     /// Errors are typed and carry the offending clause plus its byte
     /// offset into `input`, so callers can underline the bad span.
@@ -369,9 +375,9 @@ impl FaultSpec {
                     Ok(m) if m > 0 => mean = Some(m),
                     _ => return Err(bad("a positive cycle count")),
                 },
-                Some(("count", v)) => match v.parse() {
-                    Ok(c) => count = Some(c),
-                    Err(_) => return Err(bad("a fault count")),
+                Some(("count", v)) => match v.parse::<u32>() {
+                    Ok(c) if c <= Self::MAX_COUNT => count = Some(c),
+                    _ => return Err(bad("a fault count of at most 65536")),
                 },
                 Some(("seed", v)) => match v.parse() {
                     Ok(x) => seed = x,
@@ -680,6 +686,28 @@ mod tests {
     }
 
     #[test]
+    fn fault_count_has_a_ceiling() {
+        let at_max = format!("mtbf=1,count={}", FaultSpec::MAX_COUNT);
+        assert!(matches!(
+            FaultSpec::parse(&at_max),
+            Ok(FaultSpec::Mtbf {
+                count: FaultSpec::MAX_COUNT,
+                ..
+            })
+        ));
+        for count in [FaultSpec::MAX_COUNT as u64 + 1, u32::MAX as u64, u64::MAX] {
+            let spec = format!("mtbf=1,count={count}");
+            match FaultSpec::parse(&spec).unwrap_err() {
+                FaultSpecError::BadValue { clause, offset, .. } => {
+                    assert_eq!(clause, format!("count={count}"));
+                    assert_eq!(offset, 7);
+                }
+                other => panic!("{spec}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn parse_errors_carry_clause_and_span() {
         // The typed error names the offending clause and its byte
         // offset in the *original* input, including leading whitespace
@@ -887,7 +915,7 @@ mod tests {
                 }
             }
             for mean in [1u64, 500, u64::MAX] {
-                for count in [0u32, 1, u32::MAX] {
+                for count in [0u32, 1, FaultSpec::MAX_COUNT] {
                     for seed in [0u64, 42, u64::MAX] {
                         specs.push(FaultSpec::Mtbf {
                             mean,

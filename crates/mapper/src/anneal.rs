@@ -16,7 +16,7 @@ use crate::error::MapError;
 use crate::mapping::{MapMode, Mapping, Placement};
 use crate::mrt::{Mrt, SlotUse};
 use crate::opts::MapOptions;
-use crate::route::{route_baseline, RoutePlan, RouteRequest, ValueSite};
+use crate::route::{route_baseline, RoutePlan, RouteRequest, RouteScratch, ValueSite};
 use crate::spill::MapDfg;
 use cgra_arch::CgraConfig;
 use cgra_dfg::graph::Dfg;
@@ -129,6 +129,7 @@ fn routing_pass(
     };
     order.sort_by_key(|&ei| slack(ei));
     let mut routes = vec![Vec::new(); mdfg.dfg.num_edges()];
+    let mut scratch = RouteScratch::new();
     for ei in order {
         let e = mdfg.dfg.edge(cgra_dfg::EdgeId(ei as u32));
         if mdfg.is_mem_edge(ei) {
@@ -151,7 +152,7 @@ fn routing_pass(
             .flat_map(|e2| routes[e2.index()].iter())
             .map(|h: &crate::mapping::RouteHop| (h.pe, h.time + 1))
             .collect();
-        match route_baseline(cgra.mesh(), &mrt, req, &sites)? {
+        match route_baseline(cgra.mesh(), &mrt, req, &sites, &mut scratch)? {
             RoutePlan::Direct => {}
             RoutePlan::Chain(hops) => {
                 for h in &hops {

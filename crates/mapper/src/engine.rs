@@ -8,14 +8,24 @@
 //! the spot if any edge cannot be routed). Randomised restarts with
 //! jittered tie-breaking stand in for EMS's backtracking; kernels at CGRA
 //! scale (≤ ~50 ops) converge within a handful of restarts.
+//!
+//! One [`schedule`] call sets up its buffers once (the MRT, the route
+//! scratch, the candidate, incident-edge and fan-out lists) and empties
+//! them between attempts. Each node's candidates are walked in order
+//! from its PE list, sorted once, rather than built and sorted as a
+//! (time × PE) list. So the path from a candidate through routing
+//! allocates only the hop list of a route it commits, once the buffers
+//! have grown to the search's largest request.
 
 use crate::error::MapError;
 use crate::mapping::{MapMode, Mapping, Placement, RouteHop};
 use crate::mrt::{Mrt, SlotUse};
 use crate::opts::MapOptions;
-use crate::route::{route_baseline, route_ring, route_strict, RoutePlan, RouteRequest};
+use crate::route::{
+    route_baseline, route_ring, route_strict, RoutePlan, RouteRequest, RouteScratch, ValueSite,
+};
 use crate::spill::MapDfg;
-use cgra_arch::CgraConfig;
+use cgra_arch::{CgraConfig, PeId};
 use cgra_dfg::graph::NodeId;
 use cgra_obs::{TraceEvent, Tracer};
 use rand::prelude::*;
@@ -104,6 +114,10 @@ fn routable_scc_of(mdfg: &MapDfg) -> Vec<usize> {
     comp_of
 }
 
+/// One placement attempt at one II, plus the buffers every attempt of a
+/// [`schedule`] call reuses: the MRT, the route scratch and the
+/// candidate, incident-edge and fan-out lists. [`Attempt::restart`]
+/// empties it for the next attempt without reallocating.
 struct Attempt<'a> {
     mdfg: &'a MapDfg,
     cgra: &'a CgraConfig,
@@ -115,12 +129,21 @@ struct Attempt<'a> {
     routes: Vec<Option<Vec<RouteHop>>>,
     stats: FailureStats,
     /// Routable-SCC id per node (ring modes only).
-    scc_of: Vec<usize>,
+    scc_of: &'a [usize],
     /// Page already chosen for an SCC, once any member is placed.
     scc_page: Vec<Option<u16>>,
     /// Restart-diversity knob: order all candidates time-major (see
     /// `place_node`).
     time_major: bool,
+    scratch: RouteScratch,
+    /// Candidate PEs of the node being placed: `(page_key, aff, pe)`.
+    pes: Vec<(u16, u32, PeId)>,
+    /// PEs of the placed neighbours of the node being placed.
+    neighbour_pes: Vec<PeId>,
+    /// Edges from the node being committed to placed neighbours.
+    incident: Vec<usize>,
+    /// Places the value of the edge being routed is already available.
+    sites: Vec<ValueSite>,
 }
 
 impl<'a> Attempt<'a> {
@@ -128,17 +151,12 @@ impl<'a> Attempt<'a> {
         mdfg: &'a MapDfg,
         cgra: &'a CgraConfig,
         mode: MapMode,
-        ii: u32,
         opts: &'a MapOptions,
+        scc_of: &'a [usize],
     ) -> Self {
-        let scc_of = if mode.ring_constrained() {
-            routable_scc_of(mdfg)
-        } else {
-            Vec::new()
-        };
         let num_sccs = scc_of.iter().copied().max().map_or(0, |m| m + 1);
         Attempt {
-            mrt: Mrt::new(cgra.mesh(), ii, cgra.mem().buses_per_row()),
+            mrt: Mrt::new(cgra.mesh(), 1, cgra.mem().buses_per_row()),
             placed: vec![None; mdfg.dfg.num_nodes()],
             routes: vec![None; mdfg.dfg.num_edges()],
             stats: FailureStats {
@@ -147,12 +165,28 @@ impl<'a> Attempt<'a> {
             scc_of,
             scc_page: vec![None; num_sccs],
             time_major: false,
+            scratch: RouteScratch::new(),
+            pes: Vec::with_capacity(cgra.num_pes()),
+            neighbour_pes: Vec::new(),
+            incident: Vec::new(),
+            sites: Vec::new(),
             mdfg,
             cgra,
             mode,
-            ii,
+            ii: 1,
             opts,
         }
+    }
+
+    /// Empty the attempt for a fresh start at `ii`.
+    fn restart(&mut self, ii: u32, time_major: bool) {
+        self.ii = ii;
+        self.time_major = time_major;
+        self.mrt.reset(ii);
+        self.placed.fill(None);
+        self.routes.fill(None);
+        self.stats.edge_route_failures.fill(0);
+        self.scc_page.fill(None);
     }
 
     /// Page bounds for node `v` under the ring path constraint: at least
@@ -239,27 +273,33 @@ impl<'a> Attempt<'a> {
         // Fanout sharing: committed routes of sibling edges from the same
         // producer already carry this value; later consumers may pick it
         // up at any of their landings.
-        let sites: Vec<crate::route::ValueSite> = if self.mode.allows_waiting() {
-            self.mdfg
-                .dfg
-                .succ_edges(e.src)
-                .filter(|e2| e2.index() != edge_index && !self.mdfg.is_mem_edge(e2.index()))
-                .filter_map(|e2| self.routes[e2.index()].as_ref())
-                .flatten()
-                .map(|h| (h.pe, h.time + 1))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.sites.clear();
+        if self.mode.allows_waiting() {
+            for e2 in self.mdfg.dfg.succ_edges(e.src) {
+                if e2.index() == edge_index || self.mdfg.is_mem_edge(e2.index()) {
+                    continue;
+                }
+                if let Some(hops) = &self.routes[e2.index()] {
+                    self.sites.extend(hops.iter().map(|h| (h.pe, h.time + 1)));
+                }
+            }
+        }
         let plan = match self.mode {
-            MapMode::Baseline => route_baseline(self.cgra.mesh(), &self.mrt, req, &sites),
+            MapMode::Baseline => route_baseline(
+                self.cgra.mesh(),
+                &self.mrt,
+                req,
+                &self.sites,
+                &mut self.scratch,
+            ),
             MapMode::Constrained => route_ring(
                 self.cgra.mesh(),
                 self.cgra.layout(),
                 &self.mrt,
                 req,
                 self.opts.chain_budget,
-                &sites,
+                &self.sites,
+                &mut self.scratch,
             ),
             MapMode::ConstrainedStrict => route_strict(
                 self.cgra.mesh(),
@@ -267,12 +307,39 @@ impl<'a> Attempt<'a> {
                 &self.mrt,
                 req,
                 self.opts.chain_budget,
+                &mut self.scratch,
             ),
         };
         if plan.is_none() {
             self.stats.edge_route_failures[edge_index] += 1;
         }
         plan
+    }
+
+    /// Route edge `ei` for `v` at `cand` and reserve its hops. On failure
+    /// nothing of the edge stays reserved.
+    fn commit_edge(&mut self, ei: usize, v: NodeId, cand: Placement) -> bool {
+        let hops = match self.route_edge(ei, v, cand) {
+            None => return false,
+            Some(RoutePlan::Direct) => Vec::new(),
+            Some(RoutePlan::Chain(hops)) => hops,
+        };
+        // Reserve hop slots; an intra-chain modulo alias is a commit
+        // failure (rare; the restart will re-roll).
+        for (done, h) in hops.iter().enumerate() {
+            if !self.mrt.pe_free(h.pe, h.time as u64) {
+                for h in &hops[..done] {
+                    self.mrt
+                        .release(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
+                }
+                self.stats.edge_route_failures[ei] += 1;
+                return false;
+            }
+            self.mrt
+                .reserve(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
+        }
+        self.routes[ei] = Some(hops);
+        true
     }
 
     /// Try to commit `v` at `cand`: reserve its slot, route and reserve
@@ -292,74 +359,42 @@ impl<'a> Attempt<'a> {
             op.is_mem(),
         );
 
-        let mut committed_edges: Vec<(usize, Vec<RouteHop>)> = Vec::new();
-        let rollback = |attempt: &mut Self, committed: &[(usize, Vec<RouteHop>)]| {
-            for (ei, hops) in committed {
-                for h in hops {
-                    attempt
-                        .mrt
-                        .release(h.pe, h.time as u64, SlotUse::Route(*ei as u32), false);
-                }
-                attempt.routes[*ei] = None;
+        // Collect incident edges whose counterpart is already placed.
+        let dfg = &self.mdfg.dfg;
+        self.incident.clear();
+        for e in dfg.pred_edges(v) {
+            let src = dfg.edge(e).src;
+            if self.placed[src.index()].is_some() || src == v {
+                self.incident.push(e.index());
             }
-            attempt.mrt.release(
+        }
+        for e in dfg.succ_edges(v) {
+            let dst = dfg.edge(e).dst;
+            if dst != v && self.placed[dst.index()].is_some() {
+                self.incident.push(e.index());
+            }
+        }
+
+        // Edges are committed in order, so the first `routed` hold routes.
+        let mut routed = 0;
+        while routed < self.incident.len() && self.commit_edge(self.incident[routed], v, cand) {
+            routed += 1;
+        }
+        if routed < self.incident.len() {
+            for &ei in &self.incident[..routed] {
+                let hops = self.routes[ei].take().expect("committed edge has a route");
+                for h in &hops {
+                    self.mrt
+                        .release(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
+                }
+            }
+            self.mrt.release(
                 cand.pe,
                 cand.time as u64,
                 SlotUse::Compute(v.0),
                 op.is_mem(),
             );
-        };
-
-        // Collect incident edges whose counterpart is already placed.
-        let incident: Vec<usize> = self
-            .mdfg
-            .dfg
-            .pred_edges(v)
-            .filter(|e| {
-                self.placed[self.mdfg.dfg.edge(*e).src.index()].is_some()
-                    || self.mdfg.dfg.edge(*e).src == v
-            })
-            .chain(self.mdfg.dfg.succ_edges(v).filter(|e| {
-                let dst = self.mdfg.dfg.edge(*e).dst;
-                dst != v && self.placed[dst.index()].is_some()
-            }))
-            .map(|e| e.index())
-            .collect();
-
-        for ei in incident {
-            match self.route_edge(ei, v, cand) {
-                Some(plan) => {
-                    let hops = plan.hops().to_vec();
-                    // Reserve hop slots; an intra-chain modulo alias is a
-                    // commit failure (rare; the restart will re-roll).
-                    let mut ok = true;
-                    let mut done = 0;
-                    for h in &hops {
-                        if !self.mrt.pe_free(h.pe, h.time as u64) {
-                            ok = false;
-                            break;
-                        }
-                        self.mrt
-                            .reserve(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
-                        done += 1;
-                    }
-                    if !ok {
-                        for h in hops.iter().take(done) {
-                            self.mrt
-                                .release(h.pe, h.time as u64, SlotUse::Route(ei as u32), false);
-                        }
-                        self.stats.edge_route_failures[ei] += 1;
-                        rollback(self, &committed_edges);
-                        return false;
-                    }
-                    self.routes[ei] = Some(hops.clone());
-                    committed_edges.push((ei, hops));
-                }
-                None => {
-                    rollback(self, &committed_edges);
-                    return false;
-                }
-            }
+            return false;
         }
         self.placed[v.index()] = Some(cand);
         true
@@ -442,69 +477,78 @@ impl<'a> Attempt<'a> {
         if page_hi < page_lo {
             return false;
         }
-        let neighbour_pes: Vec<cgra_arch::PeId> = dfg
+        self.neighbour_pes.clear();
+        for n in dfg
             .pred_edges(v)
             .map(|e| dfg.edge(e).src)
             .chain(dfg.succ_edges(v).map(|e| dfg.edge(e).dst))
-            .filter(|&n| n != v)
-            .filter_map(|n| self.placed[n.index()].map(|p| p.pe))
-            .collect();
+        {
+            if n != v {
+                if let Some(p) = self.placed[n.index()] {
+                    self.neighbour_pes.push(p.pe);
+                }
+            }
+        }
+        // Ring modes flow forward as a wavefront: prefer pages near the
+        // ASAP-proportional target. Baseline placement is page-agnostic
+        // (affinity only).
+        let target = self.mode.ring_constrained().then(|| {
+            let used = self.used_pages_estimate();
+            self.target_page(v, asap, used).clamp(page_lo, page_hi)
+        });
         let mesh = self.cgra.mesh();
         let layout = self.cgra.layout();
-        let pes: Vec<(u16, u32, cgra_arch::PeId)> = mesh
-            .pes()
-            .filter(|&pe| {
-                let p = layout.page_of(pe).0;
-                (page_lo..=page_hi).contains(&p)
-            })
-            .map(|pe| {
-                let affinity: u32 = neighbour_pes.iter().map(|&np| mesh.distance(pe, np)).sum();
-                // Ring modes flow forward as a wavefront: prefer pages
-                // near the ASAP-proportional target. Baseline placement is
-                // page-agnostic (affinity only).
-                let page_key = if self.mode.ring_constrained() {
-                    let used = self.used_pages_estimate();
-                    let target = self.target_page(v, asap, used).clamp(page_lo, page_hi);
-                    layout.page_of(pe).0.abs_diff(target)
-                } else {
-                    0
-                };
-                (page_key, affinity + rng.gen_range(0..3), pe)
-            })
-            .collect();
+        // One jitter draw per in-range PE, in mesh order.
+        self.pes.clear();
+        for pe in mesh.pes() {
+            let page = layout.page_of(pe).0;
+            if !(page_lo..=page_hi).contains(&page) {
+                continue;
+            }
+            let affinity: u32 = self
+                .neighbour_pes
+                .iter()
+                .map(|&np| mesh.distance(pe, np))
+                .sum();
+            let page_key = target.map_or(0, |t| page.abs_diff(t));
+            self.pes
+                .push((page_key, affinity + rng.gen_range(0..3), pe));
+        }
+        self.pes.sort_unstable();
         // Candidate order. For *source* ops (no placed producers — loads,
         // constants) the best page comes first: time-major ordering would
         // exhaust each row bus's slot 0 across the whole array, scattering
         // co-consumed loads onto far pages. For ops with placed producers
         // the earliest time comes first (tight schedules), with the page
-        // preference breaking ties.
+        // preference breaking ties. Within one time step (time-major) or
+        // one page key (page-major) the PEs go by `(page_key, aff, pe)`,
+        // the order of the sorted list.
         let has_placed_pred = dfg.pred_edges(v).any(|e| {
             let src = dfg.edge(e).src;
             src != v && self.placed[src.index()].is_some() && !self.mdfg.is_mem_edge(e.index())
         }) || self.time_major;
-        let mut candidates: Vec<(u64, cgra_arch::PeId, i64)> = Vec::new();
-        for t in lo..=hi_window {
-            for &(page_key, aff, pe) in &pes {
-                let key = if has_placed_pred {
-                    ((t - lo) as u64) << 32 | (page_key as u64) << 16 | aff as u64
-                } else {
-                    (page_key as u64) << 32 | ((t - lo) as u64) << 16 | aff as u64
-                };
-                candidates.push((key, pe, t));
-            }
-        }
-        candidates.sort_unstable();
+        let pes = std::mem::take(&mut self.pes);
+        let placed = if has_placed_pred {
+            (lo..=hi_window).any(|t| pes.iter().any(|&(_, _, pe)| self.try_place(v, pe, t)))
+        } else {
+            pes.chunk_by(|a, b| a.0 == b.0).any(|group| {
+                (lo..=hi_window).any(|t| group.iter().any(|&(_, _, pe)| self.try_place(v, pe, t)))
+            })
+        };
+        self.pes = pes;
+        placed
+    }
 
-        for &(_, pe, t) in &candidates {
-            let cand = Placement { pe, time: t as u32 };
-            if self.try_commit(v, cand) {
-                if self.mode.ring_constrained() {
-                    self.scc_page[self.scc_of[v.index()]] = Some(layout.page_of(pe).0);
-                }
-                return true;
-            }
+    /// Commit `v` on `pe` at cycle `t` if it fits, pinning its SCC's page
+    /// in ring modes.
+    fn try_place(&mut self, v: NodeId, pe: PeId, t: i64) -> bool {
+        if !self.try_commit(v, Placement { pe, time: t as u32 }) {
+            return false;
         }
-        false
+        if self.mode.ring_constrained() {
+            self.scc_page[self.scc_of[v.index()]] = Some(self.cgra.layout().page_of(pe).0);
+        }
+        true
     }
 }
 
@@ -539,6 +583,14 @@ pub fn schedule(
         edge_route_failures: vec![0; mdfg.dfg.num_edges()],
     };
     let heights = cgra_dfg::analysis::heights(&mdfg.dfg);
+    let scc_of = if mode.ring_constrained() {
+        routable_scc_of(mdfg)
+    } else {
+        Vec::new()
+    };
+    let mut attempt = Attempt::new(mdfg, cgra, mode, opts, &scc_of);
+    let mut order: Vec<NodeId> = Vec::with_capacity(mdfg.dfg.num_nodes());
+    let mut jitter: Vec<u32> = Vec::with_capacity(mdfg.dfg.num_nodes());
 
     for ii in mii..=hi {
         let Some(asap) = asap_with_mem(mdfg, ii) else {
@@ -547,40 +599,43 @@ pub fn schedule(
         // Height-first order (ties by ASAP then id), jittered per restart.
         for restart in 0..opts.restarts {
             let mut rng = StdRng::seed_from_u64(opts.seed ^ (ii as u64) << 32 ^ restart as u64);
-            let mut order: Vec<NodeId> = mdfg.dfg.node_ids().collect();
-            let jitter: Vec<u32> = order
-                .iter()
-                .map(|_| if restart == 0 { 0 } else { rng.gen_range(0..3) })
-                .collect();
+            order.clear();
+            order.extend(mdfg.dfg.node_ids());
+            jitter.clear();
+            jitter.extend(
+                order
+                    .iter()
+                    .map(|_| if restart == 0 { 0 } else { rng.gen_range(0..3) }),
+            );
             // ASAP-primary keeps producers ahead of their intra-iteration
             // consumers (a consumer placed first would box its producers
             // into a tiny time window); height breaks ties toward the
-            // critical path, jittered across restarts for diversity.
-            order.sort_by_key(|n| {
+            // critical path, jittered across restarts for diversity. Node
+            // ids make the key total, so the unstable sort is exact.
+            order.sort_unstable_by_key(|n| {
                 (
                     asap[n.index()],
                     std::cmp::Reverse(heights[n.index()] + jitter[n.index()]),
                     n.0,
                 )
             });
-            let mut attempt = Attempt::new(mdfg, cgra, mode, ii, opts);
             // Alternate candidate-ordering strategy across restarts: some
             // kernels pack better page-major (bus-heavy), others
             // time-major (dependence-heavy).
-            attempt.time_major = restart % 2 == 1;
+            attempt.restart(ii, restart % 2 == 1);
             match attempt.run(&order, &asap, &mut rng) {
                 Ok(()) => {
                     let mapping = Mapping {
                         ii,
                         placements: attempt
                             .placed
-                            .into_iter()
+                            .iter()
                             .map(|p| p.expect("all nodes placed on success"))
                             .collect(),
                         routes: attempt
                             .routes
-                            .into_iter()
-                            .map(|r| r.unwrap_or_default())
+                            .iter_mut()
+                            .map(|r| r.take().unwrap_or_default())
                             .collect(),
                     };
                     // Acceptance gate: the engine does not track RF pressure

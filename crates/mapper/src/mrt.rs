@@ -45,6 +45,22 @@ impl Mrt {
         }
     }
 
+    /// Empty the table and size it for `ii`, keeping its storage: the
+    /// result equals `Mrt::new(mesh, ii, bus_capacity)`.
+    ///
+    /// # Panics
+    /// Panics if `ii == 0`.
+    pub fn reset(&mut self, ii: u32) {
+        assert!(ii > 0, "II must be positive");
+        self.ii = ii;
+        self.pe_slots.clear();
+        self.pe_slots
+            .resize(self.mesh.num_pes() * ii as usize, None);
+        self.bus_used.clear();
+        self.bus_used
+            .resize(self.mesh.rows() as usize * ii as usize, 0);
+    }
+
     /// The initiation interval this table was built for.
     #[inline]
     pub fn ii(&self) -> u32 {
@@ -189,6 +205,17 @@ mod tests {
         m.reserve(PeId(0), 0, SlotUse::Compute(0), false);
         // 1 of 16*2 slots.
         assert!((m.utilization() - 1.0 / 32.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_table() {
+        let mut m = mrt();
+        m.reserve(PeId(5), 1, SlotUse::Route(3), true);
+        m.reset(3);
+        assert_eq!(m, Mrt::new(Mesh::new(4, 4), 3, 1));
+        m.reserve(PeId(5), 2, SlotUse::Compute(0), true);
+        m.reset(2);
+        assert_eq!(m, mrt());
     }
 
     #[test]

@@ -44,11 +44,15 @@ impl Args {
         Args { positional, flags }
     }
 
+    /// The number given as `--key`, or `default` when the flag is absent.
+    /// A value that does not parse is a usage error, never the default.
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.flags.get(key) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| fail(&format!("--{key}: expected a number, got '{v}'"))),
+        }
     }
 
     fn str(&self, key: &str, default: &str) -> String {

@@ -38,3 +38,26 @@ fn exec_rejects_zero_iterations() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(stderr, "error: --iters must be at least 1\n");
 }
+
+#[test]
+fn unparsable_numbers_are_usage_errors() {
+    let cases: [(&[&str], &str, &str); 5] = [
+        (&["map", "builtin:sobel"], "cgra", "abc"),
+        (&["map", "builtin:sobel"], "page-size", "x"),
+        (&["map", "builtin:sobel"], "rf", "-1"),
+        (&["shrink", "builtin:laplace"], "pages", "two"),
+        (&["exec", "builtin:sobel"], "iters", "1.5"),
+    ];
+    for (cmd, flag, value) in cases {
+        let mut args = cmd.to_vec();
+        let key = format!("--{flag}");
+        args.extend([key.as_str(), value]);
+        let (code, stderr) = cgra_mt(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("error: --{flag}: expected a number, got '{value}'\n"),
+            "{args:?}"
+        );
+    }
+}
